@@ -154,6 +154,7 @@ def semistabilize(
     graph: DualGraph,
     d: Multidegree,
     max_rounds: int = DEFAULT_MAX_FIRING_ROUNDS,
+    max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
 ) -> tuple[Multidegree, tuple[int, ...]]:
     """Move a total-degree g-1 multidegree into the semistable set by twisting.
 
@@ -163,7 +164,8 @@ def semistabilize(
     which raises d_Z by the number of connecting nodes.  A semistable
     representative always exists, so the loop terminates; should the round
     cap ever trip, the fallback scans the enumerated semistable set for an
-    equivalent representative and solves for the twist exactly.
+    equivalent representative and solves for the twist exactly.  Both
+    scans list subcurves under the ``max_vertices`` cap.
     """
     expected = graph.genus - 1
     if d.total != expected:
@@ -171,7 +173,7 @@ def semistabilize(
             f"semistabilization needs total degree {expected}, got {d.total}"
         )
     n = graph.gamma
-    table = _subcurve_table(graph, DEFAULT_MAX_SUBCURVE_VERTICES)
+    table = _subcurve_table(graph, max_vertices)
     firing = [0] * n
     current = d
     for _ in range(max_rounds):
@@ -188,15 +190,17 @@ def semistabilize(
         for i in range(n):
             firing[i] += step[i]
     else:
-        current, firing = _semistabilize_by_search(graph, d)
+        current, firing = _semistabilize_by_search(graph, d, max_vertices)
 
     shift = min(firing)
     return current, tuple(x - shift for x in firing)
 
 
-def _semistabilize_by_search(graph: DualGraph, d: Multidegree):
+def _semistabilize_by_search(
+    graph: DualGraph, d: Multidegree, max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES
+):
     dcg = degree_class_group(graph)
-    for candidate in stability.enumerate_semistable(graph):
+    for candidate in stability.enumerate_semistable(graph, max_vertices):
         if equivalent(dcg, d, candidate):
             return candidate, list(_solve_twist(graph, dcg, candidate - d))
     raise AssertionError("no semistable representative found; this is a bug")

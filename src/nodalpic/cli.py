@@ -10,8 +10,10 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -177,25 +179,22 @@ def build_classgroup(graph: DualGraph, degree: int) -> dict:
 
 def build_semistable(graph: DualGraph, max_vertices: int) -> dict:
     semi = stability.enumerate_semistable(graph, max_vertices)
-    stable = stability.enumerate_stable(graph, max_vertices)
-    verdicts = []
-    for d in semi:
-        v = stability.check_stability(graph, d, max_vertices)
-        verdicts.append(
-            {
-                "multidegree": _md(d),
-                "status": v.status.value,
-                "witnesses": _witness_names(graph, v.witnesses),
-            }
-        )
+    verdicts = [stability.check_stability(graph, d, max_vertices) for d in semi]
     return _report(
         "semistable",
         graph,
         semistable={
             "total_degree": graph.genus - 1,
             "semistable": [_md(d) for d in semi],
-            "stable": [_md(d) for d in stable],
-            "verdicts": verdicts,
+            "stable": [_md(d) for d, v in zip(semi, verdicts) if v.is_stable],
+            "verdicts": [
+                {
+                    "multidegree": _md(d),
+                    "status": v.status.value,
+                    "witnesses": _witness_names(graph, v.witnesses),
+                }
+                for d, v in zip(semi, verdicts)
+            ],
         },
     )
 
@@ -206,7 +205,7 @@ def build_semistabilize(graph: DualGraph, entries: Sequence[int], max_vertices: 
         raise ValueError(
             f"multidegree has {len(d)} entries, the curve has {graph.gamma} components"
         )
-    result, firing = classgroup.semistabilize(graph, d)
+    result, firing = classgroup.semistabilize(graph, d, max_vertices=max_vertices)
     verdict = stability.check_stability(graph, result, max_vertices)
     return _report(
         "semistabilize",
@@ -564,12 +563,18 @@ def render_text(report: dict) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with a digit, so '-1,3' after -d is a value
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     # usage problems exit with code 1; code 2 is reserved for tripped caps
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="nodalpic",

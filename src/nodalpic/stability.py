@@ -4,10 +4,23 @@ A multidegree d with |d| = g-1 is semistable when every connected proper
 subcurve Z satisfies d_Z >= p_a(Z) - 1, and stable when the inequality is
 strict.  On a disconnected curve the condition is imposed per connected
 component, together with the matching total degree on each component.
+
+The enumerators choose d_0, d_1, ... in turn.  When d_i is chosen, every
+subcurve Z whose last vertex is i has its degree fixed, so d_Z >= p_a(Z) - 1
+(>= p_a(Z) when strict) is tested there; and every Z whose complement's last
+vertex is i has d(Z^c) fixed, so d(Z^c) <= g - p_a(Z) (<= g - p_a(Z) - 1
+when strict), the same inequality read through |d| = g-1, is tested there.
+Both tests bound d_i to a range, and no prefix outside it is extended.  The
+pruning is exact: each test is a necessary condition, so no result is lost;
+and a full multidegree has passed the test of every subcurve Z, at the depth
+of Z's last vertex and again through Z^c, so every leaf reached is a result.
+Either test alone would be exact; together they cut a failing prefix
+sooner.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -53,8 +66,9 @@ class StabilityVerdict:
 def _classify(table, d: Multidegree) -> StabilityVerdict:
     violating = []
     saturating = []
+    entries = d.entries
     for subcurve, pa in table:
-        dz = d.degree_on(subcurve.vertices)
+        dz = sum([entries[i] for i in subcurve.vertices])
         if dz < pa - 1:
             violating.append(subcurve)
         elif dz == pa - 1:
@@ -136,12 +150,36 @@ def _positions(components: Sequence[DualGraph], vertex_order: Sequence[str]) -> 
     return position
 
 
+def _prefix_bounds(graph: DualGraph, strict: bool, table) -> list[list]:
+    """Per depth i, the subsets S of {0..i} with i in S whose degree the
+    balancing inequalities bound: [S minus i, lower, upper].
+
+    A connected proper subcurve Z bounds d_Z from below, and through
+    |d| = g-1 it bounds the complement from above: d_Z >= p_a(Z) - 1 (or
+    >= p_a(Z) when strict) is d(Z^c) <= g - p_a(Z) (or <= g - p_a(Z) - 1).
+    Z is filed under its last vertex, Z^c under its own.
+    """
+    n = graph.gamma
+    g = graph.genus
+    slack = 0 if strict else 1
+    bounds: list[dict] = [{} for _ in range(n)]
+    for subcurve, pa in table:
+        z = subcurve.vertices
+        entry = bounds[z[-1]].setdefault(z, [z[:-1], -math.inf, math.inf])
+        entry[1] = max(entry[1], pa - slack)
+        inside = set(z)
+        zc = tuple(i for i in range(n) if i not in inside)
+        entry = bounds[zc[-1]].setdefault(zc, [zc[:-1], -math.inf, math.inf])
+        entry[2] = min(entry[2], g - pa - 1 + slack)
+    return [list(level.values()) for level in bounds]
+
+
 def _enumerate(graph: DualGraph, strict: bool, max_vertices: int) -> list[Multidegree]:
     n = graph.gamma
     total = graph.genus - 1
     if n == 1:
         return [Multidegree((total,))]
-    table = _subcurve_table(graph, max_vertices)
+    bounds = _prefix_bounds(graph, strict, _subcurve_table(graph, max_vertices))
     vertex_pa = [graph.vertices[i].genus + graph.loops[i] for i in range(n)]
     lows = [vertex_pa[i] - 1 for i in range(n)]
     base = sum(lows)
@@ -153,29 +191,27 @@ def _enumerate(graph: DualGraph, strict: bool, max_vertices: int) -> list[Multid
         suffix_low[i] = suffix_low[i + 1] + lows[i]
         suffix_high[i] = suffix_high[i + 1] + highs[i]
 
-    def keep(entries) -> bool:
-        for subcurve, pa in table:
-            dz = sum(entries[i] for i in subcurve.vertices)
-            if strict:
-                if dz <= pa - 1:
-                    return False
-            elif dz < pa - 1:
-                return False
-        return True
-
     out: list[Multidegree] = []
+    prefix = [0] * n
 
-    def scan(i, remaining, prefix):
+    def scan(i, remaining):
         if i == n:
-            if remaining == 0 and keep(prefix):
-                out.append(Multidegree(prefix))
+            out.append(Multidegree(prefix))
             return
+        # every bounded subset at depth i holds i, so each test is a range for d_i
         lo = max(lows[i], remaining - suffix_high[i + 1])
         hi = min(highs[i], remaining - suffix_low[i + 1])
+        for rest, low, high in bounds[i]:
+            known = sum([prefix[j] for j in rest])
+            if low - known > lo:
+                lo = low - known
+            if high - known < hi:
+                hi = high - known
         for val in range(lo, hi + 1):
-            scan(i + 1, remaining - val, prefix + (val,))
+            prefix[i] = val
+            scan(i + 1, remaining - val)
 
-    scan(0, total, ())
+    scan(0, total)
     return out
 
 

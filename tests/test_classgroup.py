@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nodalpic import (
+    CapExceeded,
     Multidegree,
     TotalDegreeError,
     class_of,
@@ -235,6 +236,13 @@ def test_semistabilize_search_fallback_agrees():
         dcg = degree_class_group(g)
         assert equivalent(dcg, fired, searched)
         assert d + twister_multidegree(g, alt) == searched
+
+
+def test_semistabilize_passes_max_vertices_on():
+    g = path3(genera=(1, 0, 1))
+    with pytest.raises(CapExceeded, match="capped at 2 vertices"):
+        semistabilize(g, Multidegree((1, 0, 0)), max_vertices=2)
+    assert semistabilize(g, Multidegree((1, 0, 0)), max_vertices=3)[0] == Multidegree((1, 0, 0))
 
 
 def test_order_equals_complexity_random():

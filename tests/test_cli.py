@@ -1,4 +1,6 @@
+import gzip
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,9 @@ VINE_JSON = json.dumps(
         "edges": [["C1", "C2"], ["C1", "C2"], ["C1", "C2"]],
     }
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -215,6 +220,31 @@ def test_main_semistabilize(vine_file, capsys):
     sec = report["semistabilize"]
     assert sum(sec["result"]) == 2
     assert sec["status"] in ("stable", "strictly_semistable")
+
+
+@pytest.mark.parametrize("option", [["-d", "-1,3"], ["--multidegree", "-1,3"]])
+def test_main_semistabilize_negative_entry_after_a_space(vine_file, capsys, option):
+    assert main(["semistabilize", vine_file, "--multidegree=-1,3"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["semistabilize", vine_file, *option]) == 0
+    assert capsys.readouterr().out == expected
+    assert "(-1,3)" in expected
+
+
+def test_main_classgroup_negative_degree(vine_file, capsys):
+    assert main(["classgroup", vine_file, "-d", "-2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classgroup"]["degree"] == -2
+
+
+@pytest.mark.parametrize("name", ["c8", "k5", "multiloop", "vine_2_1_1"])
+def test_semistable_golden(name, capsys):
+    # reports recorded byte for byte; a faster scan must reproduce them exactly
+    curve = str(GOLDEN / f"{name}.txt")
+    assert main(["semistable", curve]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.semistable.txt").read_text()
+    assert main(["semistable", curve, "--json"]) == 0
+    with gzip.open(GOLDEN / f"{name}.semistable.json.gz", "rt", encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_main_semistabilize_bad_vector(vine_file, capsys):

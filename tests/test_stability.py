@@ -19,6 +19,7 @@ from nodalpic import (
     partial_normalization,
     vine_graph,
 )
+from nodalpic.cli import build_semistable
 from nodalpic.oracle import semistable_bruteforce
 
 from helpers import (
@@ -124,6 +125,8 @@ def test_semistable_contains_stable_and_matches_oracle():
         assert set(stab) <= set(semi)
         assert semi == semistable_bruteforce(g)
         assert stab == semistable_bruteforce(g, strict=True)
+        report = build_semistable(g, 20)["semistable"]
+        assert report["stable"] == [list(d.entries) for d in stab]
 
 
 def test_vine_counts_formula():
