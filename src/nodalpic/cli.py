@@ -231,9 +231,9 @@ def _stratum_record(graph: DualGraph, s: picard.Stratum, component_set) -> dict:
     }
 
 
-def build_strata(graph: DualGraph, max_edges: int) -> dict:
-    all_strata = picard.strata(graph, max_edges)
-    comps = set(picard.irreducible_components(graph, max_edges))
+def build_strata(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
+    all_strata = picard.strata(graph, max_edges, max_vertices)
+    comps = set(picard.irreducible_components(graph, max_edges, max_vertices))
     return _report(
         "strata",
         graph,
@@ -244,9 +244,10 @@ def build_strata(graph: DualGraph, max_edges: int) -> dict:
     )
 
 
-def build_components(graph: DualGraph, max_edges: int) -> dict:
-    classification = picard.classify_type_g_minus_1(graph, max_edges)
-    comps = picard.irreducible_components(graph, max_edges)
+def build_components(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
+    classification = picard.classify_type_g_minus_1(graph, max_edges, max_vertices)
+    comps = picard.irreducible_components(graph, max_edges, max_vertices)
+    comp_set = set(comps)
     return _report(
         "components",
         graph,
@@ -256,13 +257,13 @@ def build_components(graph: DualGraph, max_edges: int) -> dict:
             "type": classification.kind.value,
             "tree_like": classification.tree_like,
             "rule_validated": classification.component_rule_validated,
-            "strata": [_stratum_record(graph, s, set(comps)) for s in comps],
+            "strata": [_stratum_record(graph, s, comp_set) for s in comps],
         },
     )
 
 
-def build_theta(graph: DualGraph, max_edges: int) -> dict:
-    strata = theta.theta_strata(graph, max_edges)
+def build_theta(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
+    strata = theta.theta_strata(graph, max_edges, max_vertices)
     return _report(
         "theta",
         graph,
@@ -638,11 +639,11 @@ def _dispatch(graph: DualGraph, args) -> dict:
             ) from None
         return build_semistabilize(graph, entries, args.max_vertices)
     if args.command == "strata":
-        return build_strata(graph, args.max_edges)
+        return build_strata(graph, args.max_edges, args.max_vertices)
     if args.command == "components":
-        return build_components(graph, args.max_edges)
+        return build_components(graph, args.max_edges, args.max_vertices)
     if args.command == "theta":
-        return build_theta(graph, args.max_edges)
+        return build_theta(graph, args.max_edges, args.max_vertices)
     if args.command == "neron":
         return build_neron(graph, args.degree)
     if args.command == "abel":

@@ -21,6 +21,8 @@ from .errors import CapExceeded
 from .intlinalg import bareiss_determinant
 
 DEFAULT_MAX_SUBCURVE_VERTICES = 20
+# subcurve tables kept at once; a strata call builds one per distinct piece
+SUBCURVE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -383,7 +385,7 @@ def _induced_connected(graph: DualGraph, members: tuple[int, ...]) -> bool:
     return len(seen) == len(members)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUBCURVE_CACHE_SIZE)
 def _subcurve_table(graph: DualGraph, max_vertices: int) -> tuple[tuple[Subcurve, int], ...]:
     """All connected proper subcurves with their arithmetic genera.
 

@@ -7,6 +7,13 @@ stratified by pairs (node set S, stable multidegree on the curve separated
 at S).  This module enumerates those strata, picks out the maximal ones,
 classifies the compactification against the Neron model and implements the
 two-component boundary specialization rule.
+
+The strata list of a curve is built once and shared: ``strata`` returns a
+copy of a tuple memoized by (graph, max_edges, max_vertices), and the memo
+keeps the last ``STRATA_CACHE_SIZE`` curves.  ``DualGraph`` is frozen and
+hashable, so equal graphs parsed apart share one entry, and the strata,
+components and theta reports of one curve run the 2^delta loop once between
+them.  A call that exceeds a cap raises every time; errors are not cached.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 
 from .classgroup import (
@@ -24,6 +32,7 @@ from .classgroup import (
 )
 from .errors import CapExceeded
 from .graph import (
+    DEFAULT_MAX_SUBCURVE_VERTICES,
     DualGraph,
     NodeSet,
     complexity,
@@ -34,6 +43,8 @@ from .multidegree import Multidegree
 from .stability import enumerate_stable_disconnected
 
 DEFAULT_MAX_STRATA_EDGES = 12
+# curves whose strata lists ``_strata`` keeps
+STRATA_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,20 @@ class BoundaryPoint:
     description: str
 
 
-def strata(graph: DualGraph, max_edges: int = DEFAULT_MAX_STRATA_EDGES) -> list[Stratum]:
-    """Every stratum (S, d), ordered by |S|, then S, then d."""
+def strata(
+    graph: DualGraph,
+    max_edges: int = DEFAULT_MAX_STRATA_EDGES,
+    max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
+) -> list[Stratum]:
+    """Every stratum (S, d), ordered by |S|, then S, then d.
+
+    Each call returns a new list, read off the memo ``_strata``.
+    """
+    return list(_strata(graph, max_edges, max_vertices))
+
+
+@lru_cache(maxsize=STRATA_CACHE_SIZE)
+def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratum, ...]:
     if graph.delta > max_edges:
         raise CapExceeded(
             f"stratum enumeration capped at {max_edges} edges (graph has {graph.delta})"
@@ -101,17 +124,21 @@ def strata(graph: DualGraph, max_edges: int = DEFAULT_MAX_STRATA_EDGES) -> list[
             nodes = NodeSet(combo)
             parts = partial_normalization(graph, nodes)
             dim = g - size + (len(parts) - 1)
-            for d in enumerate_stable_disconnected(parts, vertex_order=graph.names):
+            for d in enumerate_stable_disconnected(
+                parts, vertex_order=graph.names, max_vertices=max_vertices
+            ):
                 out.append(Stratum(nodes, d, dim))
-    return out
+    return tuple(out)
 
 
 def irreducible_components(
-    graph: DualGraph, max_edges: int = DEFAULT_MAX_STRATA_EDGES
+    graph: DualGraph,
+    max_edges: int = DEFAULT_MAX_STRATA_EDGES,
+    max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
 ) -> list[Stratum]:
     """Maximal strata: the S = {} strata when the curve itself carries stable
     multidegrees, otherwise the strata of maximal dimension."""
-    all_strata = strata(graph, max_edges)
+    all_strata = strata(graph, max_edges, max_vertices)
     top = [s for s in all_strata if not s.nodes.edges]
     if top:
         return top
@@ -131,12 +158,14 @@ def component_rule_validated(graph: DualGraph) -> bool:
 
 
 def classify_type_g_minus_1(
-    graph: DualGraph, max_edges: int = DEFAULT_MAX_STRATA_EDGES
+    graph: DualGraph,
+    max_edges: int = DEFAULT_MAX_STRATA_EDGES,
+    max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
 ) -> TypeClassification:
     """Neron-type exactly for tree-like curves; evidence: component count vs
     spanning-tree count."""
     tree = is_tree_like(graph)
-    comps = irreducible_components(graph, max_edges)
+    comps = irreducible_components(graph, max_edges, max_vertices)
     return TypeClassification(
         kind=PicardType.NERON if tree else PicardType.DEGENERATION,
         tree_like=tree,

@@ -10,8 +10,11 @@ applies, the dimension stays unknown rather than extrapolated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from .graph import (
+    DEFAULT_MAX_SUBCURVE_VERTICES,
     DualGraph,
     component_arithmetic_genus,
     component_codegree,
@@ -109,7 +112,9 @@ def w_dimension(graph: DualGraph, d: Multidegree) -> WAnalysis:
 
 
 def theta_strata(
-    graph: DualGraph, max_edges: int = DEFAULT_MAX_STRATA_EDGES
+    graph: DualGraph,
+    max_edges: int = DEFAULT_MAX_STRATA_EDGES,
+    max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
 ) -> list[ThetaStratum]:
     """One effective-locus stratum per Picard stratum.
 
@@ -117,14 +122,15 @@ def theta_strata(
     partial normalization, so the per-piece W-loci have dimension one less
     than the piece's Picard variety and the stratum dimension drops by
     exactly one; pieces of genus zero contribute nothing (their theta locus
-    is empty).
+    is empty).  Strata come grouped by node set, so each set is normalized once.
     """
     out = []
-    for stratum in strata(graph, max_edges):
-        parts = partial_normalization(graph, stratum.nodes)
-        description, known = _describe(graph, stratum, parts)
-        dim = stratum.dim - 1 if known else None
-        out.append(ThetaStratum(base=stratum, description=description, dim=dim))
+    for nodes, group in groupby(strata(graph, max_edges, max_vertices), key=attrgetter("nodes")):
+        parts = partial_normalization(graph, nodes)
+        for stratum in group:
+            description, known = _describe(graph, stratum, parts)
+            dim = stratum.dim - 1 if known else None
+            out.append(ThetaStratum(base=stratum, description=description, dim=dim))
     return out
 
 

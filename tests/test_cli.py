@@ -134,7 +134,7 @@ def test_classgroup_report(vine_file):
 
 
 def test_strata_report_component_flags(vine_file):
-    report = build_strata(parse_curve(vine_file), 12)
+    report = build_strata(parse_curve(vine_file), 12, 20)
     sec = report["strata"]
     flags = [(tuple(s["nodes"]), s["component"]) for s in sec["strata"]]
     assert ((), True) in flags
@@ -145,7 +145,7 @@ def test_report_internal_consistency(vine_file):
     g = parse_curve(vine_file)
     cg = build_classgroup(g, 0)
     assert cg["classgroup"]["order"] == cg["curve"]["complexity"]
-    st = build_strata(g, 12)
+    st = build_strata(g, 12, 20)
     genus = st["curve"]["genus"]
     assert all(0 <= s["dim"] <= genus for s in st["strata"]["strata"])
 
@@ -245,6 +245,27 @@ def test_semistable_golden(name, capsys):
     assert main(["semistable", curve, "--json"]) == 0
     with gzip.open(GOLDEN / f"{name}.semistable.json.gz", "rt", encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("name", ["vine_1_1_3", "c4", "triloop", "rational_tail"])
+@pytest.mark.parametrize("command", ["strata", "components", "theta"])
+def test_strata_commands_golden(name, command, capsys):
+    # reports recorded byte for byte before the strata list was shared
+    curve = str(GOLDEN / f"{name}.txt")
+    assert main([command, curve]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{command}.txt").read_text()
+    assert main([command, curve, "--json"]) == 0
+    with gzip.open(GOLDEN / f"{name}.{command}.json.gz", "rt", encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("command", ["strata", "components", "theta", "semistable"])
+def test_main_max_vertices_reaches_the_command(command, tmp_path, capsys):
+    path = tmp_path / "tri.txt"
+    path.write_text("vertex a 0\nvertex b 0\nvertex c 0\nedge a b\nedge b c\nedge a c\n")
+    assert main([command, str(path), "--max-vertices", "2"]) == 2
+    assert "capped at 2 vertices (graph has 3)" in capsys.readouterr().err
+    assert main([command, str(path)]) == 0
 
 
 def test_main_semistabilize_bad_vector(vine_file, capsys):

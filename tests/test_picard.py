@@ -22,6 +22,7 @@ from nodalpic import (
     strata,
     vine_graph,
 )
+from nodalpic import graph as graph_module, picard
 from nodalpic.errors import CapExceeded
 from nodalpic.picard import component_rule_validated
 
@@ -53,6 +54,47 @@ def test_strata_smooth_curve():
 def test_strata_cap():
     with pytest.raises(CapExceeded):
         strata(vine_graph(1, 1, 5), max_edges=4)
+
+
+def test_strata_returns_a_new_list_each_call():
+    g = vine_graph(1, 2, 3)
+    first = strata(g)
+    expected = list(first)
+    first.clear()
+    assert strata(g) == expected
+    assert strata(g) is not strata(g)
+
+
+def test_strata_cap_raises_on_every_call():
+    g = vine_graph(1, 1, 5)
+    for _ in range(3):
+        with pytest.raises(CapExceeded):
+            strata(g, max_edges=4)
+    assert len(strata(g)) > 0
+
+
+def test_strata_max_vertices_reaches_the_pieces():
+    with pytest.raises(CapExceeded, match="capped at 2 vertices"):
+        strata(triangle(), max_vertices=2)
+    with pytest.raises(CapExceeded, match="capped at 2 vertices"):
+        irreducible_components(triangle(), max_vertices=2)
+    with pytest.raises(CapExceeded, match="capped at 2 vertices"):
+        classify_type_g_minus_1(triangle(), max_vertices=2)
+
+
+def test_equal_graphs_share_one_strata_entry():
+    a = DualGraph.from_names([("P", 1), ("Q", 2)], [("P", "Q")] * 4)
+    b = DualGraph.from_names([("P", 1), ("Q", 2)], [("P", "Q")] * 4)
+    assert a is not b and a == b
+    strata(a)
+    hits = picard._strata.cache_info().hits
+    assert strata(b) == strata(a)
+    assert picard._strata.cache_info().hits == hits + 2
+
+
+def test_caches_are_bounded():
+    for cached in (picard._strata, graph_module._subcurve_table):
+        assert isinstance(cached.cache_info().maxsize, int)
 
 
 def test_strata_are_componentwise_stable_with_correct_dims():
