@@ -25,6 +25,7 @@ from .classgroup import (
     ClassLabel,
     DegreeClassGroup,
     TwisterLattice,
+    class_listing,
     class_of,
     class_representatives,
     degree_class_group,

@@ -10,7 +10,7 @@ degree class group.  Its order equals the number of spanning trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from operator import add
 from typing import Sequence
 
 from .errors import TotalDegreeError
@@ -142,12 +142,34 @@ def representative(dcg: DegreeClassGroup, label: ClassLabel) -> Multidegree:
     return Multidegree([label.total_degree - sum(coords)] + coords)
 
 
+def class_listing(
+    dcg: DegreeClassGroup, total_degree: int
+) -> list[tuple[ClassLabel, Multidegree]]:
+    """Every class of the given total as (label, ``representative(label)``).
+
+    Labels run in ``itertools.product`` order over the invariant factors, so
+    each label is read off the odometer rather than recomputed by
+    ``class_of``.  The representative of residues r is left_inv @ r, a sum
+    of r_k times the k-th column of ``left_inv``, so each factor extends the
+    partial sums of the previous ones by a multiple of one column: O(gamma)
+    work per class.
+    """
+    labels: list[tuple[int, ...]] = [()]
+    coords: list[list[int]] = [[0] * (dcg.gamma - 1)]
+    for pos, f in enumerate(dcg._diagonal):
+        if f > 1:
+            multiples = [[r * row[pos] for row in dcg._left_inv] for r in range(f)]
+            coords = [list(map(add, c, m)) for c in coords for m in multiples]
+            labels = [label + (r,) for label in labels for r in range(f)]
+    return [
+        (ClassLabel(label, total_degree), Multidegree([total_degree - sum(c)] + c))
+        for label, c in zip(labels, coords)
+    ]
+
+
 def class_representatives(dcg: DegreeClassGroup, total_degree: int) -> list[Multidegree]:
     """Exactly ``order`` pairwise-inequivalent multidegrees of the given total."""
-    out = []
-    for residues in product(*(range(f) for f in dcg.invariant_factors)):
-        out.append(representative(dcg, ClassLabel(residues, total_degree)))
-    return out
+    return [rep for _, rep in class_listing(dcg, total_degree)]
 
 
 def semistabilize(
@@ -174,6 +196,7 @@ def semistabilize(
         )
     n = graph.gamma
     table = _subcurve_table(graph, max_vertices)
+    lap = laplacian(graph)
     firing = [0] * n
     current = d
     for _ in range(max_rounds):
@@ -186,7 +209,7 @@ def semistabilize(
             break
         inside = set(violation.vertices)
         step = [0 if i in inside else 1 for i in range(n)]
-        current = current + twister_multidegree(graph, step)
+        current = current - Multidegree(mat_vec(lap, step))
         for i in range(n):
             firing[i] += step[i]
     else:

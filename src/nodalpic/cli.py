@@ -158,7 +158,6 @@ def build_info(graph: DualGraph) -> dict:
 
 def build_classgroup(graph: DualGraph, degree: int) -> dict:
     dcg = classgroup.degree_class_group(graph)
-    reps = classgroup.class_representatives(dcg, degree)
     return _report(
         "classgroup",
         graph,
@@ -167,11 +166,8 @@ def build_classgroup(graph: DualGraph, degree: int) -> dict:
             "order": dcg.order,
             "degree": degree,
             "representatives": [
-                {
-                    "label": list(classgroup.class_of(dcg, rep).residues),
-                    "multidegree": _md(rep),
-                }
-                for rep in reps
+                {"label": list(label.residues), "multidegree": _md(rep)}
+                for label, rep in classgroup.class_listing(dcg, degree)
             ],
         },
     )
@@ -367,6 +363,50 @@ def build_dgeneral(graph: DualGraph, degree: int) -> dict:
             "verdict": verdict.value,
         },
     )
+
+
+# -- JSON rendering -------------------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring
+_INT_ONLY = {int}
+
+
+def _json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder.  Here plain
+    dicts, lists and tuples are written directly, every string goes through
+    the C ``encode_basestring``, and a list of plain ints takes one join.
+    Reports hold nothing else, so any other type (floats and subclasses
+    included) raises ``TypeError``.  ``newline`` is the line break plus the
+    indentation of ``value``.  Dict keys must be strings.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == _INT_ONLY:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # -- text rendering -------------------------------------------------------------
@@ -668,7 +708,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"nodalpic: error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(report, indent=2, ensure_ascii=False))
+        print(_json(report))
     else:
         print(render_text(report), end="")
     return 0

@@ -10,6 +10,7 @@ which the class-group canonicalization needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 Matrix = list[list[int]]
@@ -20,7 +21,10 @@ def identity(n: int) -> Matrix:
 
 
 def mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+    n = len(v)
+    if any(len(row) != n for row in m):
+        raise ValueError("mat_vec: a row and the vector differ in length")
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:

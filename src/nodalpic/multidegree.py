@@ -18,7 +18,7 @@ class Multidegree:
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int]):
-        object.__setattr__(self, "entries", tuple(int(e) for e in entries))
+        object.__setattr__(self, "entries", tuple(map(int, entries)))
 
     @cached_property
     def total(self) -> int:
@@ -26,7 +26,7 @@ class Multidegree:
 
     def degree_on(self, indices: Iterable[int]) -> int:
         """Total degree of the restriction to the given vertex positions."""
-        return sum(self.entries[i] for i in indices)
+        return sum(map(self.entries.__getitem__, indices))
 
     def __len__(self) -> int:
         return len(self.entries)

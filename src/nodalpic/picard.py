@@ -24,12 +24,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 
-from .classgroup import (
-    ClassLabel,
-    class_representatives,
-    class_of,
-    degree_class_group,
-)
+from .classgroup import ClassLabel, class_listing, degree_class_group
 from .errors import CapExceeded
 from .graph import (
     DEFAULT_MAX_SUBCURVE_VERTICES,
@@ -178,8 +173,7 @@ def classify_type_g_minus_1(
 def neron_fiber(graph: DualGraph, degree: int = 0) -> NeronFiber:
     """Component labels and canonical representatives in one total degree."""
     dcg = degree_class_group(graph)
-    reps = class_representatives(dcg, degree)
-    components = tuple((class_of(dcg, rep), rep) for rep in reps)
+    components = tuple(class_listing(dcg, degree))
     return NeronFiber(degree=degree, components=components, count=dcg.order)
 
 

@@ -122,13 +122,16 @@ def theta_strata(
     partial normalization, so the per-piece W-loci have dimension one less
     than the piece's Picard variety and the stratum dimension drops by
     exactly one; pieces of genus zero contribute nothing (their theta locus
-    is empty).  Strata come grouped by node set, so each set is normalized once.
+    is empty).  Strata come grouped by node set, so each set is normalized,
+    and its pieces located in the curve's vertex order, once.
     """
+    position = {name: i for i, name in enumerate(graph.names)}
     out = []
     for nodes, group in groupby(strata(graph, max_edges, max_vertices), key=attrgetter("nodes")):
         parts = partial_normalization(graph, nodes)
+        indices = [[position[name] for name in piece.names] for piece in parts]
         for stratum in group:
-            description, known = _describe(graph, stratum, parts)
+            description, known = _describe(stratum, parts, indices)
             dim = stratum.dim - 1 if known else None
             out.append(ThetaStratum(base=stratum, description=description, dim=dim))
     return out
@@ -147,12 +150,11 @@ def _w_term(piece: DualGraph, local: Multidegree) -> str:
     return f"W_{local}({_format_piece(piece)})"
 
 
-def _describe(graph: DualGraph, stratum: Stratum, parts: list[DualGraph]):
-    position = {name: i for i, name in enumerate(graph.names)}
-    locals_ = []
-    for piece in parts:
-        idx = [position[name] for name in piece.names]
-        locals_.append(Multidegree(stratum.multidegree[i] for i in idx))
+def _describe(stratum: Stratum, parts: list[DualGraph], indices: list[list[int]]):
+    """Descriptor of one stratum; ``indices[j]`` lists the positions, in the
+    curve's vertex order, of the vertices of ``parts[j]``."""
+    entries = stratum.multidegree.entries
+    locals_ = [Multidegree([entries[i] for i in idx]) for idx in indices]
     genera = [piece.genus for piece in parts]
 
     if len(parts) == 1:

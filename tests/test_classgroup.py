@@ -1,11 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
 from nodalpic import (
     CapExceeded,
+    ClassLabel,
     Multidegree,
     TotalDegreeError,
+    class_listing,
     class_of,
     class_representatives,
     complexity,
@@ -24,6 +27,7 @@ from nodalpic.oracle import SearchOutcome, equivalent_bruteforce
 from nodalpic.stability import check_stability, enumerate_semistable
 
 from helpers import (
+    complete4,
     path3,
     permuted,
     permuted_md,
@@ -197,6 +201,29 @@ def test_representative_round_trips_label():
         lifted = representative(dcg, label)
         assert class_of(dcg, lifted) == label
         assert equivalent(dcg, lifted, d)
+
+
+@pytest.mark.parametrize("total", [-2, 0, 3])
+def test_class_listing_lists_each_class_once(total):
+    rng = random.Random(61)
+    graphs = [random_connected_graph(rng, max_vertices=6, max_edges=12) for _ in range(25)]
+    graphs += [path3((1, 0, 2)), single_vertex(genus=1, loops=2), complete4()]
+    assert any(len(degree_class_group(g).invariant_factors) >= 2 for g in graphs)
+    for g in graphs:
+        dcg = degree_class_group(g)
+        listing = class_listing(dcg, total)
+        assert len(listing) == dcg.order
+        # each label is its representative's class, and the labels are distinct,
+        # so the representatives are pairwise inequivalent
+        assert all(class_of(dcg, rep) == label for label, rep in listing)
+        assert len({label for label, _ in listing}) == dcg.order
+        assert all(rep.total == total for _, rep in listing)
+        lifted = [
+            (ClassLabel(residues, total), representative(dcg, ClassLabel(residues, total)))
+            for residues in product(*(range(f) for f in dcg.invariant_factors))
+        ]
+        assert listing == lifted
+        assert class_representatives(dcg, total) == [rep for _, rep in lifted]
 
 
 def test_semistabilize_vine_023():

@@ -1,10 +1,13 @@
 import gzip
 import json
+from collections import OrderedDict
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
 from nodalpic.cli import (
+    _json,
     build_classgroup,
     build_info,
     build_semistable,
@@ -256,6 +259,62 @@ def test_strata_commands_golden(name, command, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{command}.txt").read_text()
     assert main([command, curve, "--json"]) == 0
     with gzip.open(GOLDEN / f"{name}.{command}.json.gz", "rt", encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_json_writer_matches_json_dumps():
+    fixture = {
+        "empty dict": {},
+        "empty list": [],
+        "none": None,
+        "flags": [True, False],
+        "ints": [0, -1, -(2**70), 2**64 + 1],
+        "tuple": (1, "two", (3, 4)),
+        "nested": [[1, 2], ["a", [3, "b"]], [], {}, [1, True, None]],
+        "strings": ['say "hi"', "back\\slash", "ctl\x00\x1f\n\t\x7f", "Θ(C1) ∪ W_(0,1)", ""],
+        'Θ∪ "key"': {"inner": [None, -5, {"deep": []}]},
+    }
+    for value in (fixture, [], {}, None, 7, "Θ", [fixture, [fixture]], ()):
+        assert _json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+    for bad in (object(), 1.5, OrderedDict(a=1), IntEnum("E", "x").x):
+        with pytest.raises(TypeError):
+            _json({"a": [1, bad]})
+
+
+# curve -> (degree g-1, a multidegree of total g-1, a dgeneral degree)
+LATTICE_CURVES = {
+    "treelike": (3, "-4,5,2", 3),
+    "irreducible": (2, "2", 2),
+    "vine_unicode": (4, "-6,10", 1),
+    "k5": (5, "20,-10,-5,0,0", 5),
+    "triloop": (4, "10,-7,1", 1),
+}
+
+
+def _lattice_goldens():
+    for name, (g_minus_1, md, dgeneral) in LATTICE_CURVES.items():
+        commands = {
+            "info": ["info"],
+            "classgroup": ["classgroup", "-d", str(g_minus_1)],
+            "neron": ["neron", "-d", "0"],
+            "abel": ["abel", "-d", "1"],
+            "semistabilize": ["semistabilize", f"--multidegree={md}"],
+            "dgeneral": ["dgeneral", "-d", str(dgeneral)],
+        }
+        if name == "vine_unicode":
+            commands["abel_g_minus_1"] = ["abel", "--g-minus-1"]
+        for tag, argv in commands.items():
+            yield name, tag, argv
+
+
+@pytest.mark.parametrize("name,tag,argv", list(_lattice_goldens()))
+def test_lattice_commands_golden(name, tag, argv, capsys):
+    # reports recorded byte for byte before the class listing and the JSON writer changed
+    curve = str(GOLDEN / f"{name}.txt")
+    assert main([argv[0], curve, *argv[1:]]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{tag}.txt").read_text(encoding="utf-8")
+    assert main([argv[0], curve, *argv[1:], "--json"]) == 0
+    with gzip.open(GOLDEN / f"{name}.{tag}.json.gz", "rt", encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
 
 

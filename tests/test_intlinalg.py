@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from nodalpic.intlinalg import (
     bareiss_determinant,
     identity,
@@ -27,6 +29,10 @@ def test_determinant_stays_exact_on_large_values():
 
 def test_mat_vec():
     assert mat_vec([[2, -1], [-1, 2]], [3, 1]) == [5, -1]
+    assert mat_vec([], [1]) == []
+    for m, v in (([[1, 2]], [1, 2, 3]), ([[1, 2, 3]], [1, 2]), ([[1, 2], [3]], [1, 2])):
+        with pytest.raises(ValueError):
+            mat_vec(m, v)
 
 
 def test_smith_normal_form_random_matrices():
