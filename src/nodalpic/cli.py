@@ -543,7 +543,8 @@ def render_text(report: dict) -> str:
     elif command == "neron":
         sec = report["neron"]
         lines.append("")
-        lines.append(f"Neron fiber in degree {sec['degree']}: {sec['count']} components")
+        plural = "" if sec["count"] == 1 else "s"
+        lines.append(f"Neron fiber in degree {sec['degree']}: {sec['count']} component{plural}")
         rows = [
             [_fmt_md(r["label"]) if r["label"] else "()", _fmt_md(r["representative"])]
             for r in sec["components"]
@@ -624,33 +625,42 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("curve", help="curve file (text or JSON); '-' reads stdin")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument(
+    # each cap only on the commands whose work it bounds
+    vertex_cap = argparse.ArgumentParser(add_help=False)
+    vertex_cap.add_argument(
         "--max-vertices",
         type=int,
         default=DEFAULT_MAX_SUBCURVE_VERTICES,
         help="cap for subcurve enumeration (default %(default)s)",
     )
-    common.add_argument(
+    edge_cap = argparse.ArgumentParser(add_help=False)
+    edge_cap.add_argument(
         "--max-edges",
         type=int,
         default=DEFAULT_MAX_STRATA_EDGES,
         help="cap for node-subset enumeration (default %(default)s)",
     )
+    stability_args = [common, vertex_cap]
+    strata_args = [common, vertex_cap, edge_cap]
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     sub.add_parser("info", parents=[common], help="curve summary invariants")
     p = sub.add_parser("classgroup", parents=[common], help="degree class group")
     p.add_argument("-d", "--degree", type=int, default=0)
-    sub.add_parser("semistable", parents=[common], help="semistable and stable multidegrees")
-    p = sub.add_parser("semistabilize", parents=[common], help="semistabilize a multidegree")
+    sub.add_parser(
+        "semistable", parents=stability_args, help="semistable and stable multidegrees"
+    )
+    p = sub.add_parser(
+        "semistabilize", parents=stability_args, help="semistabilize a multidegree"
+    )
     p.add_argument(
         "-d",
         "--multidegree",
         required=True,
         help="comma-separated entries, e.g. '3,0'",
     )
-    sub.add_parser("strata", parents=[common], help="strata of the compactification")
-    sub.add_parser("components", parents=[common], help="irreducible components")
-    sub.add_parser("theta", parents=[common], help="theta-divisor strata")
+    sub.add_parser("strata", parents=strata_args, help="strata of the compactification")
+    sub.add_parser("components", parents=strata_args, help="irreducible components")
+    sub.add_parser("theta", parents=strata_args, help="theta-divisor strata")
     p = sub.add_parser("neron", parents=[common], help="Neron fiber components")
     p.add_argument("-d", "--degree", type=int, default=0)
     p = sub.add_parser("abel", parents=[common], help="Abel map naturality predicates")

@@ -11,7 +11,6 @@ edge tuple and is stable under all operations here.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -102,7 +101,7 @@ class DualGraph:
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references a missing vertex")
-        if not _is_connected(n, self.edges):
+        if n > 1 and len(_components(_adjacency(n, self.edges), range(n))) != 1:
             raise ValueError("the dual graph must be connected")
 
     @classmethod
@@ -182,26 +181,39 @@ class DualGraph:
         return sum(v.genus for v in self.vertices) + b1
 
 
-def _is_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Per vertex, its neighbours, once per edge; loops are left out."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if u != v:
             adj[u].append(v)
             adj[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                queue.append(y)
-    return count == n
+    return adj
+
+
+def _components(adj: list[list[int]], members: Sequence[int]) -> list[list[int]]:
+    """Connected components of the subgraph induced on ``members``.
+
+    Each component is sorted; with ``members`` in increasing order the
+    components come ordered by their smallest vertex.
+    """
+    left = [False] * len(adj)
+    for i in members:
+        left[i] = True
+    out = []
+    for start in members:
+        if not left[start]:
+            continue
+        left[start] = False
+        comp = [start]
+        for x in comp:
+            for y in adj[x]:
+                if left[y]:
+                    left[y] = False
+                    comp.append(y)
+        comp.sort()
+        out.append(comp)
+    return out
 
 
 def vine_graph(g1: int, g2: int, delta: int, names: tuple[str, str] = ("C1", "C2")) -> DualGraph:
@@ -265,15 +277,39 @@ def is_tree_like(graph: DualGraph) -> bool:
 
 
 def bridges(graph: DualGraph) -> tuple[int, ...]:
-    """Indices of non-loop edges whose removal disconnects the graph."""
+    """Indices of non-loop edges whose removal disconnects the graph.
+
+    One depth-first search: a tree edge is a bridge when nothing below it
+    reaches back above it.  A vertex skips its parent only when one edge
+    joins them, so a parallel edge is a way back and never a bridge.
+    """
+    adj = _adjacency(graph.gamma, graph.edges)
+    mult = graph.multiplicity
+    order = [-1] * graph.gamma
+    low = [0] * graph.gamma
+    order[0] = 0
+    found = 1
     out = []
-    for idx, (u, v) in enumerate(graph.edges):
-        if u == v or graph.multiplicity[u][v] > 1:
-            continue
-        rest = [e for j, e in enumerate(graph.edges) if j != idx]
-        if not _is_connected(graph.gamma, rest):
-            out.append(idx)
-    return tuple(out)
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        x, parent, rest = stack[-1]
+        for y in rest:
+            if y == parent and mult[x][y] == 1:
+                continue
+            if order[y] < 0:
+                order[y] = low[y] = found
+                found += 1
+                stack.append((y, x, iter(adj[y])))
+                break
+            low[x] = min(low[x], order[y])
+        else:
+            stack.pop()
+            if stack:
+                low[parent] = min(low[parent], low[x])
+                if low[x] > order[parent]:
+                    # a bridge is the one edge joining its ends
+                    out.append(graph.edges.index((min(x, parent), max(x, parent))))
+    return tuple(sorted(out))
 
 
 def essential_graph(graph: DualGraph) -> DualGraph:
@@ -283,44 +319,24 @@ def essential_graph(graph: DualGraph) -> DualGraph:
     bookkeeping survives the contraction.  The operation is idempotent.
     """
     bridge_set = set(bridges(graph))
-    parent = list(range(graph.gamma))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for idx in bridge_set:
-        u, v = graph.edges[idx]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    groups: dict[int, list[int]] = {}
-    order: list[int] = []
-    for i in range(graph.gamma):
-        r = find(i)
-        if r not in groups:
-            groups[r] = []
-            order.append(r)
-        groups[r].append(i)
-
-    new_id = {r: k for k, r in enumerate(order)}
+    groups = _components(
+        _adjacency(graph.gamma, (graph.edges[i] for i in bridge_set)),
+        range(graph.gamma),
+    )
+    new_id = [0] * graph.gamma
     new_vertices = []
-    for r in order:
-        members = groups[r]
+    for k, members in enumerate(groups):
+        for i in members:
+            new_id[i] = k
         name = "+".join(graph.vertices[i].name for i in members)
         genus = sum(graph.vertices[i].genus for i in members)
         new_vertices.append(Vertex(name, genus))
-
-    new_edges = []
-    for idx, (u, v) in enumerate(graph.edges):
-        if u == v or idx in bridge_set:
-            continue
-        a, b = new_id[find(u)], new_id[find(v)]
-        # a non-bridge edge never closes up inside a contracted group
-        new_edges.append((a, b))
+    # a non-bridge edge never closes up inside a contracted group
+    new_edges = [
+        (new_id[u], new_id[v])
+        for idx, (u, v) in enumerate(graph.edges)
+        if u != v and idx not in bridge_set
+    ]
     return DualGraph(tuple(new_vertices), new_edges)
 
 
@@ -365,26 +381,6 @@ def _global_min_cut(weights: list[list[int]]) -> int:
 # -- subcurves ----------------------------------------------------------------
 
 
-def _induced_connected(graph: DualGraph, members: tuple[int, ...]) -> bool:
-    if len(members) == 1:
-        return True
-    inside = set(members)
-    adj: dict[int, list[int]] = {i: [] for i in members}
-    for u, v in graph.edges:
-        if u != v and u in inside and v in inside:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {members[0]}
-    queue = deque([members[0]])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(members)
-
-
 @lru_cache(maxsize=SUBCURVE_CACHE_SIZE)
 def _subcurve_table(graph: DualGraph, max_vertices: int) -> tuple[tuple[Subcurve, int], ...]:
     """All connected proper subcurves with their arithmetic genera.
@@ -398,9 +394,10 @@ def _subcurve_table(graph: DualGraph, max_vertices: int) -> tuple[tuple[Subcurve
             f"(graph has {graph.gamma})"
         )
     table = []
+    adj = _adjacency(graph.gamma, graph.edges)
     for size in range(1, graph.gamma):
         for combo in combinations(range(graph.gamma), size):
-            if _induced_connected(graph, combo):
+            if len(_components(adj, combo)) == 1:
                 table.append((Subcurve(combo), _subcurve_genus(graph, combo)))
     return tuple(table)
 
@@ -425,7 +422,7 @@ def subcurve_arithmetic_genus(graph: DualGraph, subcurve: Subcurve) -> int:
     for i in members:
         if not 0 <= i < graph.gamma:
             raise ValueError(f"subcurve references missing vertex index {i}")
-    if not _induced_connected(graph, members):
+    if len(_components(_adjacency(graph.gamma, graph.edges), members)) != 1:
         raise ValueError("subcurve is not connected")
     return _subcurve_genus(graph, members)
 
@@ -445,38 +442,18 @@ def partial_normalization(graph: DualGraph, nodes: NodeSet | Iterable[int]) -> l
         if not 0 <= e < graph.delta:
             raise ValueError(f"unknown edge index {e}")
     removed = set(node_set.edges)
-    kept = [(i, e) for i, e in enumerate(graph.edges) if i not in removed]
-
-    adj: list[list[int]] = [[] for _ in range(graph.gamma)]
-    for _, (u, v) in kept:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = [False] * graph.gamma
-    components: list[list[int]] = []
-    for start in range(graph.gamma):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        components.append(sorted(comp))
-
-    out = []
-    for comp in components:
-        local = {old: new for new, old in enumerate(comp)}
-        verts = tuple(graph.vertices[i] for i in comp)
-        edges = [
-            (local[u], local[v])
-            for _, (u, v) in kept
-            if u in local and v in local
-        ]
-        out.append(DualGraph(verts, edges))
-    return out
+    kept = [e for i, e in enumerate(graph.edges) if i not in removed]
+    pieces = _components(_adjacency(graph.gamma, kept), range(graph.gamma))
+    piece_of = [0] * graph.gamma
+    local = [0] * graph.gamma
+    for k, comp in enumerate(pieces):
+        for j, i in enumerate(comp):
+            piece_of[i] = k
+            local[i] = j
+    piece_edges: list[list[tuple[int, int]]] = [[] for _ in pieces]
+    for u, v in kept:
+        piece_edges[piece_of[u]].append((local[u], local[v]))
+    return [
+        DualGraph(tuple(graph.vertices[i] for i in comp), edges)
+        for comp, edges in zip(pieces, piece_edges)
+    ]

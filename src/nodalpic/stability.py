@@ -73,6 +73,10 @@ def _classify(table, d: Multidegree) -> StabilityVerdict:
             violating.append(subcurve)
         elif dz == pa - 1:
             saturating.append(subcurve)
+    return _verdict(violating, saturating)
+
+
+def _verdict(violating: list[Subcurve], saturating: list[Subcurve]) -> StabilityVerdict:
     if violating:
         return StabilityVerdict(StabilityStatus.UNSTABLE, tuple(violating))
     if saturating:
@@ -108,13 +112,12 @@ def check_stability_parts(
     degree (its genus - 1) before the inequalities are even tested.
     Witnesses come back in parent indices.
     """
-    position = _positions(components, vertex_order)
+    placements = _placements(components, vertex_order)
     if len(d) != len(vertex_order):
         raise ValueError("multidegree length does not match the vertex order")
     violating: list[Subcurve] = []
     saturating: list[Subcurve] = []
-    for comp in components:
-        parent_idx = [position[name] for name in comp.names]
+    for comp, parent_idx in zip(components, placements):
         local = Multidegree(d[i] for i in parent_idx)
         expected = comp.genus - 1
         if local.total != expected:
@@ -130,14 +133,12 @@ def check_stability_parts(
             violating.extend(lifted)
         elif verdict.status is StabilityStatus.STRICTLY_SEMISTABLE:
             saturating.extend(lifted)
-    if violating:
-        return StabilityVerdict(StabilityStatus.UNSTABLE, tuple(violating))
-    if saturating:
-        return StabilityVerdict(StabilityStatus.STRICTLY_SEMISTABLE, tuple(saturating))
-    return StabilityVerdict(StabilityStatus.STABLE)
+    return _verdict(violating, saturating)
 
 
-def _positions(components: Sequence[DualGraph], vertex_order: Sequence[str]) -> dict[str, int]:
+def _placements(components: Sequence[DualGraph], vertex_order: Sequence[str]) -> list[list[int]]:
+    """Each component's vertices as positions in ``vertex_order``, which must
+    name every component vertex exactly once and nothing else."""
     position = {name: i for i, name in enumerate(vertex_order)}
     if len(position) != len(vertex_order):
         raise ValueError("vertex order contains duplicate names")
@@ -147,7 +148,11 @@ def _positions(components: Sequence[DualGraph], vertex_order: Sequence[str]) -> 
     missing = [name for name in component_names if name not in position]
     if missing:
         raise ValueError(f"vertex order is missing {missing[0]!r}")
-    return position
+    if len(component_names) != len(position):
+        named = set(component_names)
+        extra = next(name for name in vertex_order if name not in named)
+        raise ValueError(f"no component has vertex {extra!r}")
+    return [[position[name] for name in comp.names] for comp in components]
 
 
 def _prefix_bounds(graph: DualGraph, strict: bool, table) -> list[list]:
@@ -242,8 +247,7 @@ def enumerate_stable_disconnected(
     """
     if vertex_order is None:
         vertex_order = [name for comp in components for name in comp.names]
-    position = _positions(components, vertex_order)
-    placements = [[position[name] for name in comp.names] for comp in components]
+    placements = _placements(components, vertex_order)
     per_component = [enumerate_stable(comp, max_vertices) for comp in components]
     out: list[Multidegree] = []
     for choice in product(*per_component):

@@ -327,6 +327,20 @@ def test_main_max_vertices_reaches_the_command(command, tmp_path, capsys):
     assert main([command, str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "command,cap",
+    [(c, "--max-edges") for c in ("info", "classgroup", "neron", "abel", "dgeneral")]
+    + [(c, "--max-vertices") for c in ("info", "classgroup", "neron", "abel", "dgeneral")]
+    + [("semistable", "--max-edges"), ("semistabilize", "--max-edges")],
+)
+def test_main_cap_only_on_the_commands_that_read_it(command, cap, vine_file, capsys):
+    required = {"abel": ["-d", "1"], "dgeneral": ["-d", "1"], "semistabilize": ["-d", "1,1"]}
+    with pytest.raises(SystemExit) as err:
+        main([command, vine_file, *required.get(command, []), cap, "3"])
+    assert err.value.code == 1
+    assert f"unrecognized arguments: {cap} 3" in capsys.readouterr().err
+
+
 def test_main_semistabilize_bad_vector(vine_file, capsys):
     assert main(["semistabilize", vine_file, "-d", "1,x"]) == 1
 

@@ -295,3 +295,100 @@ def test_graph_validation():
         DualGraph.from_names([("a", 0)], [("a", "b")])
     with pytest.raises(ValueError):
         DualGraph.from_names([("a", 0), ("b", 0)], [])
+
+
+# -- graph primitives against in-test references --------------------------------
+
+
+def _reference_components(n, edges):
+    """Components of the graph on range(n), by label propagation: each vertex
+    ends labelled with the smallest vertex of its component."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            low = min(label[u], label[v])
+            if label[u] != low or label[v] != low:
+                label[u] = label[v] = low
+                changed = True
+    groups = {}
+    for i in range(n):
+        groups.setdefault(label[i], []).append(i)
+    return list(groups.values())
+
+
+def _reference_bridges(g):
+    return tuple(
+        idx
+        for idx, (u, v) in enumerate(g.edges)
+        if u != v
+        and len(_reference_components(g.gamma, g.edges[:idx] + g.edges[idx + 1 :])) > 1
+    )
+
+
+def _random_graphs(seed, count=120):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, random_connected_graph(rng, max_vertices=8, max_edges=14)
+
+
+def test_bridges_match_per_edge_removal():
+    found = 0
+    for _, g in _random_graphs(101, 300):
+        assert bridges(g) == _reference_bridges(g)
+        found += len(bridges(g))
+    assert found > 0
+
+
+def test_partial_normalization_pieces_match_reference():
+    for rng, g in _random_graphs(102):
+        nodes = rng.sample(range(g.delta), rng.randint(0, g.delta))
+        kept = [e for i, e in enumerate(g.edges) if i not in set(nodes)]
+        comps = _reference_components(g.gamma, kept)
+        parts = partial_normalization(g, nodes)
+        assert len(parts) == len(comps)
+        for piece, comp in zip(parts, comps):
+            local = {old: new for new, old in enumerate(comp)}
+            assert piece.vertices == tuple(g.vertices[i] for i in comp)
+            assert piece.names == tuple(g.names[i] for i in comp)
+            assert piece.edges == tuple(
+                (local[u], local[v]) for u, v in kept if u in local
+            )
+
+
+def test_essential_graph_matches_reference():
+    for _, g in _random_graphs(103):
+        cut = set(_reference_bridges(g))
+        groups = _reference_components(g.gamma, [g.edges[i] for i in sorted(cut)])
+        group_of = {v: k for k, group in enumerate(groups) for v in group}
+        ess = essential_graph(g)
+        assert ess.names == tuple(
+            "+".join(g.names[i] for i in group) for group in groups
+        )
+        assert [v.genus for v in ess.vertices] == [
+            sum(g.vertices[i].genus for i in group) for group in groups
+        ]
+        assert ess.edges == tuple(
+            tuple(sorted((group_of[u], group_of[v])))
+            for idx, (u, v) in enumerate(g.edges)
+            if u != v and idx not in cut
+        )
+
+
+def test_connected_subcurves_match_brute_force():
+    from itertools import combinations
+
+    for _, g in _random_graphs(104, 80):
+        expected = []
+        for size in range(1, g.gamma):
+            for combo in combinations(range(g.gamma), size):
+                local = {old: new for new, old in enumerate(combo)}
+                inside = [
+                    (local[u], local[v])
+                    for u, v in g.edges
+                    if u in local and v in local
+                ]
+                if len(_reference_components(size, inside)) == 1:
+                    expected.append(Subcurve(combo))
+        assert connected_subcurves(g) == expected

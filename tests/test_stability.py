@@ -116,6 +116,25 @@ def test_check_stability_parts():
         check_stability_parts(parts, Multidegree((0, 1)), g.names)
 
 
+@pytest.mark.parametrize(
+    "parts,d,order,message",
+    [
+        # a name no component has is rejected, not filled or ignored
+        ([vine_graph(1, 1, 2)], (1, 1, 57), ("C1", "C2", "Z"), "no component has vertex 'Z'"),
+        ([vine_graph(1, 1, 2)], (1, 1, 0), ("C1", "C2", "C1"), "duplicate names"),
+        ([vine_graph(1, 1, 2), single_vertex(1, name="C1")], (1, 1), ("C1", "C2"), "share"),
+        ([vine_graph(1, 1, 2)], (2,), ("C1",), "missing 'C2'"),
+        ([vine_graph(1, 1, 2)], (1, 1, 0), ("C1", "C2"), "length"),
+    ],
+)
+def test_parts_reject_a_vertex_order_that_does_not_place_them(parts, d, order, message):
+    with pytest.raises(ValueError, match=message):
+        check_stability_parts(parts, Multidegree(d), order)
+    if message != "length":
+        with pytest.raises(ValueError, match=message):
+            enumerate_stable_disconnected(parts, vertex_order=order)
+
+
 def test_semistable_contains_stable_and_matches_oracle():
     rng = random.Random(8)
     for _ in range(25):
