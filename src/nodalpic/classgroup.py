@@ -14,12 +14,9 @@ from operator import add
 from typing import Sequence
 
 from .errors import TotalDegreeError
-from .graph import DEFAULT_MAX_SUBCURVE_VERTICES, DualGraph, _subcurve_table
+from .graph import DEFAULT_MAX_SUBCURVE_VERTICES, DualGraph, Subcurve, _subcurve_table
 from .intlinalg import mat_vec, smith_normal_form
 from .multidegree import Multidegree
-from . import stability
-
-DEFAULT_MAX_FIRING_ROUNDS = 1000
 
 
 def laplacian(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
@@ -175,20 +172,24 @@ def class_representatives(dcg: DegreeClassGroup, total_degree: int) -> list[Mult
 def semistabilize(
     graph: DualGraph,
     d: Multidegree,
-    max_rounds: int = DEFAULT_MAX_FIRING_ROUNDS,
     max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
 ) -> tuple[Multidegree, tuple[int, ...]]:
     """Move a total-degree g-1 multidegree into the semistable set by twisting.
 
     Returns (d', firing) with d' = d + twister_multidegree(firing) semistable
-    and firing normalized to have minimum entry zero.  Strategy: while some
-    connected subcurve Z has d_Z < p_a(Z) - 1, fire the complement of Z,
-    which raises d_Z by the number of connecting nodes.  A semistable
-    representative always exists, so the loop terminates; should the round
-    cap ever trip, the fallback scans the enumerated semistable set for an
-    equivalent representative and solves for the twist exactly.  Both
-    scans list subcurves under the ``max_vertices`` cap.
+    and firing normalized to have minimum entry zero; a semistable d comes
+    back unchanged.  Otherwise d first jumps by n, the rounded solution of
+    L x = d - m, where m_v = p_a(v) - 1 + codeg(v)/2 puts every subcurve Z at
+    the midpoint p_a(Z) - 1 + delta_Z/2 of its semistable range.  Then, while
+    some connected subcurve Z has d_Z < p_a(Z) - 1, the complement of Z fires.
+
+    Each such firing lowers Q(f) = f.L.f/2 - (d - m).f by p_a(Z) - 1 - d_Z >= 1,
+    and Q(n) - min Q = (n - x).L.(n - x)/2 <= delta/2 because |n - x| <= 1/2
+    entrywise, so at most floor(delta/2) firings follow the jump.  Subcurves
+    are listed under the ``max_vertices`` cap.
     """
+    if len(d) != graph.gamma:
+        raise ValueError(f"multidegree has {len(d)} entries, graph has {graph.gamma}")
     expected = graph.genus - 1
     if d.total != expected:
         raise TotalDegreeError(
@@ -196,51 +197,44 @@ def semistabilize(
         )
     n = graph.gamma
     table = _subcurve_table(graph, max_vertices)
+    if _violation(table, d) is None:
+        return d, (0,) * n
     lap = laplacian(graph)
-    firing = [0] * n
-    current = d
-    for _ in range(max_rounds):
-        violation = None
-        for subcurve, pa in table:
-            if current.degree_on(subcurve.vertices) < pa - 1:
-                violation = subcurve
-                break
+    firing = _balanced_firing(graph, degree_class_group(graph), d)
+    current = d - Multidegree(mat_vec(lap, firing))
+    for _ in range(graph.delta // 2 + 1):
+        violation = _violation(table, current)
         if violation is None:
-            break
+            shift = min(firing)
+            return current, tuple(x - shift for x in firing)
         inside = set(violation.vertices)
         step = [0 if i in inside else 1 for i in range(n)]
         current = current - Multidegree(mat_vec(lap, step))
-        for i in range(n):
-            firing[i] += step[i]
-    else:
-        current, firing = _semistabilize_by_search(graph, d, max_vertices)
-
-    shift = min(firing)
-    return current, tuple(x - shift for x in firing)
+        firing = list(map(add, firing, step))
+    raise AssertionError("more than floor(delta/2) firings after the balanced jump")
 
 
-def _semistabilize_by_search(
-    graph: DualGraph, d: Multidegree, max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES
-):
-    dcg = degree_class_group(graph)
-    for candidate in stability.enumerate_semistable(graph, max_vertices):
-        if equivalent(dcg, d, candidate):
-            return candidate, list(_solve_twist(graph, dcg, candidate - d))
-    raise AssertionError("no semistable representative found; this is a bug")
+def _violation(table, d: Multidegree) -> Subcurve | None:
+    """First subcurve Z of the table with d_Z < p_a(Z) - 1, if any."""
+    for subcurve, pa in table:
+        if d.degree_on(subcurve.vertices) < pa - 1:
+            return subcurve
+    return None
 
 
-def _solve_twist(graph: DualGraph, dcg: DegreeClassGroup, delta: Multidegree) -> list[int]:
-    """Integer firing vector with twister_multidegree(firing) == delta."""
-    n = graph.gamma
-    if n == 1:
-        return [0]
-    # -L n = delta  <=>  reduced(L) n' = -delta'  with n = (0, n')
-    target = [-x for x in delta.entries[1:]]
+def _balanced_firing(graph: DualGraph, dcg: DegreeClassGroup, d: Multidegree) -> list[int]:
+    """Solution of L x = d - m with x_0 = 0, rounded to nearest, ties toward zero.
+
+    With w = 2m, the canonical degree, reduced(L) x' = (2d - w)'/2 is solved
+    through the Smith data in integers over the common denominator 2 f_max.
+    """
+    canonical = [
+        2 * (v.genus + loops) - 2 + codeg
+        for v, loops, codeg in zip(graph.vertices, graph.loops, graph.nonloop_degree)
+    ]
+    target = [2 * a - w for a, w in zip(d.entries[1:], canonical[1:])]
     image = mat_vec(dcg._left, target)
-    scaled = []
-    for x, f in zip(image, dcg._diagonal):
-        if x % f:
-            raise AssertionError("twist target is not in the twister lattice")
-        scaled.append(x // f)
-    inner = mat_vec(dcg._right, scaled)
-    return [0] + inner
+    f_max = max(dcg._diagonal, default=1)
+    numerators = mat_vec(dcg._right, [y * (f_max // f) for y, f in zip(image, dcg._diagonal)])
+    halves = [(abs(x) + f_max - 1) // (2 * f_max) for x in numerators]
+    return [0] + [h if x >= 0 else -h for h, x in zip(halves, numerators)]

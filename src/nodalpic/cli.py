@@ -197,10 +197,6 @@ def build_semistable(graph: DualGraph, max_vertices: int) -> dict:
 
 def build_semistabilize(graph: DualGraph, entries: Sequence[int], max_vertices: int) -> dict:
     d = Multidegree(entries)
-    if len(d) != graph.gamma:
-        raise ValueError(
-            f"multidegree has {len(d)} entries, the curve has {graph.gamma} components"
-        )
     result, firing = classgroup.semistabilize(graph, d, max_vertices=max_vertices)
     verdict = stability.check_stability(graph, result, max_vertices)
     return _report(

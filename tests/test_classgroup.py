@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -6,22 +7,26 @@ import pytest
 from nodalpic import (
     CapExceeded,
     ClassLabel,
+    DualGraph,
     Multidegree,
     TotalDegreeError,
     class_listing,
     class_of,
     class_representatives,
     complexity,
+    connected_subcurves,
     counts,
     degree_class_group,
     equivalent,
     laplacian,
     semistabilize,
+    subcurve_arithmetic_genus,
     twister_lattice,
     twister_multidegree,
     vine_graph,
 )
-from nodalpic.classgroup import _semistabilize_by_search, representative
+from nodalpic import classgroup
+from nodalpic.classgroup import representative
 from nodalpic.intlinalg import mat_mul, smith_normal_form
 from nodalpic.oracle import SearchOutcome, equivalent_bruteforce
 from nodalpic.stability import check_stability, enumerate_semistable
@@ -251,18 +256,117 @@ def test_semistabilize_wrong_total():
         semistabilize(vine_graph(1, 1, 2), Multidegree((0, 0)))
 
 
-def test_semistabilize_search_fallback_agrees():
-    # the breadth-first coset search must return the same class as chip-firing
-    rng = random.Random(41)
-    for _ in range(15):
-        g = random_connected_graph(rng, max_vertices=4, max_edges=7)
-        total = counts(g).genus - 1
-        d = random_multidegree(rng, g.gamma, total)
-        fired, firing = semistabilize(g, d)
-        searched, alt = _semistabilize_by_search(g, d)
-        dcg = degree_class_group(g)
-        assert equivalent(dcg, fired, searched)
-        assert d + twister_multidegree(g, alt) == searched
+def test_semistabilize_rejects_wrong_length():
+    with pytest.raises(ValueError, match="multidegree has 3 entries, graph has 2"):
+        semistabilize(vine_graph(1, 1, 2), Multidegree((1, 1, 0)))
+
+
+def _fire_from_zero(g, d):
+    # plain firing loop with no cap: each firing lowers the quadratic
+    # Q(f) = f.L.f/2 - (d - m).f by at least one, and Q is bounded below
+    firing = [0] * g.gamma
+    current = d
+    while True:
+        bad = [
+            z
+            for z in connected_subcurves(g)
+            if current.degree_on(z.vertices) < subcurve_arithmetic_genus(g, z) - 1
+        ]
+        if not bad:
+            break
+        step = [0 if i in bad[0].vertices else 1 for i in range(g.gamma)]
+        current = current + twister_multidegree(g, step)
+        firing = [a + b for a, b in zip(firing, step)]
+    return current, tuple(x - min(firing) for x in firing)
+
+
+@pytest.mark.parametrize("loops", [(0, 0), (1, 0), (0, 2)])
+def test_semistabilize_two_components_matches_firing_from_zero(loops):
+    # pins the vine results that correction_profile_vine and abel --g-minus-1 read
+    for g1, g2, nodes in product(range(3), range(3), range(1, 5)):
+        edges = [("A", "B")] * nodes + [("A", "A")] * loops[0] + [("B", "B")] * loops[1]
+        g = DualGraph.from_names([("A", g1), ("B", g2)], edges)
+        total = g.genus - 1
+        for a in range(-12, 13):
+            d = Multidegree((a, total - a))
+            assert semistabilize(g, d) == _fire_from_zero(g, d)
+
+
+def _complete(n):
+    names = [f"v{i}" for i in range(n)]
+    return DualGraph.from_names(
+        [(x, 0) for x in names], [(x, y) for i, x in enumerate(names) for y in names[i + 1 :]]
+    )
+
+
+def _cycle(n):
+    names = [f"v{i}" for i in range(n)]
+    return DualGraph.from_names(
+        [(x, 0) for x in names], [(names[i], names[(i + 1) % n]) for i in range(n)]
+    )
+
+
+def test_semistabilize_fires_at_most_half_the_nodes_after_the_jump(monkeypatch):
+    found = []
+    violation = classgroup._violation
+
+    def counting(table, d):
+        found.append(violation(table, d))
+        return found[-1]
+
+    monkeypatch.setattr(classgroup, "_violation", counting)
+    rng = random.Random(43)
+    cases = [(_cycle(10), Multidegree([-300, 300] + [0] * 8))]
+    k7 = _complete(7)
+    cases.append((k7, Multidegree([10**6, -(10**6), 0, 0, 0, 0, k7.genus - 1])))
+    for _ in range(40):
+        g = random_connected_graph(rng, max_vertices=6, max_edges=12)
+        cases.append((g, random_multidegree(rng, g.gamma, g.genus - 1, spread=10**6)))
+    for g, d in cases:
+        found.clear()
+        result, firing = semistabilize(g, d)
+        assert check_stability(g, result).is_semistable
+        assert equivalent(degree_class_group(g), d, result)
+        assert d + twister_multidegree(g, firing) == result
+        assert min(firing) == 0
+        after_jump = sum(z is not None for z in found[1:])
+        nonloop_nodes = sum(u != v for u, v in g.edges)
+        assert after_jump <= nonloop_nodes // 2
+
+
+def _solve_exact(g, rhs):
+    # Gauss-Jordan over the rationals on the reduced Laplacian, with x_0 = 0
+    lap = laplacian(g)
+    rows = [[Fraction(v) for v in lap[i][1:]] + [Fraction(rhs[i])] for i in range(1, g.gamma)]
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(len(rows)):
+            if r != col and rows[r][col]:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return [Fraction(0)] + [row[-1] for row in rows]
+
+
+def test_balanced_firing_rounds_the_exact_solution_ties_toward_zero():
+    # |n - x| <= 1/2 on every vertex is what bounds the firings after the jump
+    rng = random.Random(44)
+    ties = 0
+    for _ in range(60):
+        g = random_connected_graph(rng, max_vertices=6, max_edges=10)
+        d = random_multidegree(rng, g.gamma, g.genus - 1, spread=50)
+        m = [
+            Fraction(2 * (v.genus + loops) - 2 + codeg, 2)
+            for v, loops, codeg in zip(g.vertices, g.loops, g.nonloop_degree)
+        ]
+        x = _solve_exact(g, [a - b for a, b in zip(d, m)])
+        n = classgroup._balanced_firing(g, degree_class_group(g), d)
+        for nv, xv in zip(n, x):
+            assert abs(nv - xv) <= Fraction(1, 2)
+            if abs(nv - xv) == Fraction(1, 2):
+                ties += 1
+                assert abs(nv) < abs(xv)
+    assert ties > 0
 
 
 def test_semistabilize_passes_max_vertices_on():

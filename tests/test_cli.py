@@ -349,6 +349,11 @@ def test_main_semistabilize_wrong_total(vine_file, capsys):
     assert main(["semistabilize", vine_file, "-d", "0,0"]) == 1
 
 
+def test_main_semistabilize_wrong_length(vine_file, capsys):
+    assert main(["semistabilize", vine_file, "-d", "1,1,0"]) == 1
+    assert "multidegree has 3 entries, graph has 2" in capsys.readouterr().err
+
+
 def test_main_abel_g_minus_1_requires_two_components(tmp_path, capsys):
     path = tmp_path / "c.txt"
     path.write_text("vertex A 2\nedge A A\n")
