@@ -43,6 +43,7 @@ from .stability import (
     enumerate_semistable,
     enumerate_stable,
     enumerate_stable_disconnected,
+    semistable_verdicts,
 )
 from .picard import (
     BoundaryPoint,

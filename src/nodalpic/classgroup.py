@@ -10,6 +10,7 @@ degree class group.  Its order equals the number of spanning trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 from typing import Sequence
 
@@ -17,6 +18,9 @@ from .errors import TotalDegreeError
 from .graph import DEFAULT_MAX_SUBCURVE_VERTICES, DualGraph, Subcurve, _subcurve_table
 from .intlinalg import mat_vec, smith_normal_form
 from .multidegree import Multidegree
+
+# curves whose class groups ``degree_class_group`` keeps
+CLASS_GROUP_CACHE_SIZE = 8
 
 
 def laplacian(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
@@ -84,7 +88,13 @@ class DegreeClassGroup:
     _right: tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=CLASS_GROUP_CACHE_SIZE)
 def degree_class_group(graph: DualGraph) -> DegreeClassGroup:
+    """The class group of ``graph``, from one Smith normal form per curve.
+
+    The result is frozen and holds only tuples, so equal graphs share it
+    through a memo of the last ``CLASS_GROUP_CACHE_SIZE`` curves.
+    """
     n = graph.gamma
     lap = laplacian(graph)
     reduced = [[lap[i][j] for j in range(1, n)] for i in range(1, n)]

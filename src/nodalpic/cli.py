@@ -148,10 +148,6 @@ def _md(d: Multidegree) -> list[int]:
     return list(d.entries)
 
 
-def _witness_names(graph: DualGraph, witnesses) -> list[list[str]]:
-    return [[graph.vertices[i].name for i in w.vertices] for w in witnesses]
-
-
 def build_info(graph: DualGraph) -> dict:
     return _report("info", graph)
 
@@ -175,7 +171,13 @@ def build_classgroup(graph: DualGraph, degree: int) -> dict:
 
 def build_semistable(graph: DualGraph, max_vertices: int) -> dict:
     semi = stability.enumerate_semistable(graph, max_vertices)
-    verdicts = [stability.check_stability(graph, d, max_vertices) for d in semi]
+    verdicts = stability.semistable_verdicts(graph, max_vertices)
+    # name each witness subcurve once, keyed by its vertex tuple
+    names: dict[tuple[int, ...], list[str]] = {}
+    for v in verdicts:
+        for w in v.witnesses:
+            if w.vertices not in names:
+                names[w.vertices] = [graph.vertices[i].name for i in w.vertices]
     return _report(
         "semistable",
         graph,
@@ -187,7 +189,7 @@ def build_semistable(graph: DualGraph, max_vertices: int) -> dict:
                 {
                     "multidegree": _md(d),
                     "status": v.status.value,
-                    "witnesses": _witness_names(graph, v.witnesses),
+                    "witnesses": [names[w.vertices] for w in v.witnesses],
                 }
                 for d, v in zip(semi, verdicts)
             ],

@@ -16,13 +16,33 @@ and a full multidegree has passed the test of every subcurve Z, at the depth
 of Z's last vertex and again through Z^c, so every leaf reached is a result.
 Either test alone would be exact; together they cut a failing prefix
 sooner.
+
+Each test needs the degree of its set minus i, which the scan keeps in
+slots: one slot per such vertex tuple and per tuple obtained from it by
+dropping last vertices.  When d_j is set, every slot whose tuple ends in j
+is filled with one add, its parent's sum (the tuple without j) plus d_j, so
+a test reads its known degree instead of summing it.  The per-graph plan of
+bounds and slots is built once and kept by ``_plan``.
+
+The semistable scan also classifies each leaf.  Z is saturated when
+d_Z = p_a(Z) - 1, that is when d_i equals the lower test's value
+p_a(Z) - 1 - d(Z minus i), where i is Z's last vertex.  Every d_i the scan
+tries is at least the largest such value, lo, so the subcurves saturated at
+depth i are those whose value equals lo, and only at d_i = lo.  Recording
+them from the lower tests alone is exact: every saturated Z is a connected
+proper subcurve with a lower test at its own last vertex; and the upper test
+at Z^c is tight exactly when d(Z^c) = g - p_a(Z), the same equation, so it
+would only find Z again.  A leaf's witnesses are the union of its depths'
+records, sorted by table index, which is ``check_stability``'s order; every
+leaf is semistable, so no subcurve is violated.  ``enumerate_semistable``
+and ``semistable_verdicts`` read the rows and verdicts off one memoized scan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -155,83 +175,164 @@ def _placements(components: Sequence[DualGraph], vertex_order: Sequence[str]) ->
     return [[position[name] for name in comp.names] for comp in components]
 
 
-def _prefix_bounds(graph: DualGraph, strict: bool, table) -> list[list]:
-    """Per depth i, the subsets S of {0..i} with i in S whose degree the
-    balancing inequalities bound: [S minus i, lower, upper].
+# graphs whose scan plans ``_plan`` keeps; equal pieces of a strata loop
+# recur within a few dozen calls
+PLAN_CACHE_SIZE = 32
+# curves whose semistable rows and verdicts ``_semistable_scan`` keeps: the
+# two readers of one report run back to back
+SCAN_CACHE_SIZE = 2
 
-    A connected proper subcurve Z bounds d_Z from below, and through
-    |d| = g-1 it bounds the complement from above: d_Z >= p_a(Z) - 1 (or
-    >= p_a(Z) when strict) is d(Z^c) <= g - p_a(Z) (or <= g - p_a(Z) - 1).
-    Z is filed under its last vertex, Z^c under its own.
+_STABLE = StabilityVerdict(StabilityStatus.STABLE)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(graph: DualGraph, strict: bool, max_vertices: int):
+    """The scan's work at each depth i, ``(lower, upper, fills, low, high,
+    suffix_high, suffix_low)``, the slot count and the table's subcurves.
+
+    Each connected proper subcurve Z, at table index k, gives two bounds:
+    ``(slot, p_a(Z) - 1, k)`` in ``lower`` at Z's last vertex, for
+    d_Z >= p_a(Z) - 1, and ``(slot, g - p_a(Z))`` in ``upper`` at the last
+    vertex of Z^c, for d(Z^c) <= g - p_a(Z); strict bounds are one tighter.
+    The slot holds the degree of the bounded set minus that vertex.  Once
+    d_i is set, each ``(slot, parent)`` in ``fills`` takes its parent's sum
+    plus d_i.
     """
     n = graph.gamma
     g = graph.genus
+    table = _subcurve_table(graph, max_vertices) if n > 1 else ()
     slack = 0 if strict else 1
-    bounds: list[dict] = [{} for _ in range(n)]
-    for subcurve, pa in table:
+    slots = {(): 0}
+    fills: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+
+    def slot(t: tuple[int, ...]) -> int:
+        s = slots.get(t)
+        if s is None:
+            parent = slot(t[:-1])
+            s = slots[t] = len(slots)
+            fills[t[-1]].append((s, parent))
+        return s
+
+    lower: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (subcurve, pa) in enumerate(table):
         z = subcurve.vertices
-        entry = bounds[z[-1]].setdefault(z, [z[:-1], -math.inf, math.inf])
-        entry[1] = max(entry[1], pa - slack)
+        lower[z[-1]].append((slot(z[:-1]), pa - slack, k))
         inside = set(z)
         zc = tuple(i for i in range(n) if i not in inside)
-        entry = bounds[zc[-1]].setdefault(zc, [zc[:-1], -math.inf, math.inf])
-        entry[2] = min(entry[2], g - pa - 1 + slack)
-    return [list(level.values()) for level in bounds]
+        upper[zc[-1]].append((slot(zc[:-1]), g - pa - 1 + slack))
 
-
-def _enumerate(graph: DualGraph, strict: bool, max_vertices: int) -> list[Multidegree]:
-    n = graph.gamma
-    total = graph.genus - 1
-    if n == 1:
-        return [Multidegree((total,))]
-    bounds = _prefix_bounds(graph, strict, _subcurve_table(graph, max_vertices))
-    vertex_pa = [graph.vertices[i].genus + graph.loops[i] for i in range(n)]
-    lows = [vertex_pa[i] - 1 for i in range(n)]
+    total = g - 1
+    lows = [graph.vertices[i].genus + graph.loops[i] - 1 for i in range(n)]
     base = sum(lows)
     highs = [total - (base - lows[i]) for i in range(n)]
-
     suffix_low = [0] * (n + 1)
     suffix_high = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_low[i] = suffix_low[i + 1] + lows[i]
         suffix_high[i] = suffix_high[i + 1] + highs[i]
+    levels = tuple(
+        (
+            tuple(lower[i]),
+            tuple(upper[i]),
+            tuple(fills[i]),
+            lows[i],
+            highs[i],
+            suffix_high[i + 1],
+            suffix_low[i + 1],
+        )
+        for i in range(n)
+    )
+    return levels, len(slots), tuple(z for z, _ in table)
 
-    out: list[Multidegree] = []
+
+def _scan(
+    graph: DualGraph, strict: bool, max_vertices: int
+) -> tuple[list[Multidegree], list[StabilityVerdict]]:
+    """The multidegrees that pass every test, in lexicographic order, and,
+    unless strict, the verdict of each."""
+    levels, slot_count, subcurves = _plan(graph, strict, max_vertices)
+    classify = not strict
+    n = graph.gamma
+    rows: list[Multidegree] = []
+    verdicts: list[StabilityVerdict] = []
     prefix = [0] * n
+    sums = [0] * slot_count
 
-    def scan(i, remaining):
+    def scan(i, remaining, found):
         if i == n:
-            out.append(Multidegree(prefix))
+            rows.append(Multidegree(prefix))
+            if classify:
+                if found:
+                    witnesses = tuple(map(subcurves.__getitem__, sorted(found)))
+                    verdicts.append(_verdict([], witnesses))
+                else:
+                    verdicts.append(_STABLE)
             return
+        lower, upper, fills, low_i, high_i, suffix_high, suffix_low = levels[i]
         # every bounded subset at depth i holds i, so each test is a range for d_i
-        lo = max(lows[i], remaining - suffix_high[i + 1])
-        hi = min(highs[i], remaining - suffix_low[i + 1])
-        for rest, low, high in bounds[i]:
-            known = sum([prefix[j] for j in rest])
-            if low - known > lo:
-                lo = low - known
-            if high - known < hi:
-                hi = high - known
+        lo = max(low_i, remaining - suffix_high)
+        hi = min(high_i, remaining - suffix_low)
+        frame = []
+        for slot, low, k in lower:
+            v = low - sums[slot]
+            if v >= lo:
+                if v > lo:
+                    lo = v
+                    frame = [k]
+                else:
+                    frame.append(k)
+        for slot, high in upper:
+            v = high - sums[slot]
+            if v < hi:
+                hi = v
+        if lo > hi:
+            return
+        # the frame's subcurves are saturated at d_i = lo only
+        child = found + frame if classify and frame else found
         for val in range(lo, hi + 1):
             prefix[i] = val
-            scan(i + 1, remaining - val)
+            for t, p in fills:
+                sums[t] = sums[p] + val
+            scan(i + 1, remaining - val, child)
+            child = found
 
-    scan(0, total)
-    return out
+    scan(0, graph.genus - 1, [])
+    return rows, verdicts
+
+
+@lru_cache(maxsize=SCAN_CACHE_SIZE)
+def _semistable_scan(
+    graph: DualGraph, max_vertices: int
+) -> tuple[tuple[Multidegree, ...], tuple[StabilityVerdict, ...]]:
+    rows, verdicts = _scan(graph, strict=False, max_vertices=max_vertices)
+    return tuple(rows), tuple(verdicts)
 
 
 def enumerate_semistable(
     graph: DualGraph, max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES
 ) -> list[Multidegree]:
-    """All semistable multidegrees of total degree g-1, in lexicographic order."""
-    return _enumerate(graph, strict=False, max_vertices=max_vertices)
+    """All semistable multidegrees of total degree g-1, in lexicographic order.
+
+    Each call returns a new list, read off the memo ``_semistable_scan``.
+    """
+    return list(_semistable_scan(graph, max_vertices)[0])
+
+
+def semistable_verdicts(
+    graph: DualGraph, max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES
+) -> list[StabilityVerdict]:
+    """The verdict of each multidegree of ``enumerate_semistable``, in its
+    order; equal to ``check_stability`` on each, without summing the table
+    again.  Each call returns a new list, read off ``_semistable_scan``."""
+    return list(_semistable_scan(graph, max_vertices)[1])
 
 
 def enumerate_stable(
     graph: DualGraph, max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES
 ) -> list[Multidegree]:
     """All stable multidegrees of total degree g-1; may be empty."""
-    return _enumerate(graph, strict=True, max_vertices=max_vertices)
+    return _scan(graph, strict=True, max_vertices=max_vertices)[0]
 
 
 def enumerate_stable_disconnected(

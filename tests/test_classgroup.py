@@ -487,3 +487,12 @@ def test_semistable_set_covers_every_class():
         dcg = degree_class_group(g)
         labels = {class_of(dcg, d) for d in enumerate_semistable(g)}
         assert len(labels) == dcg.order
+
+
+def test_equal_graphs_share_one_class_group():
+    a = DualGraph.from_names([("P", 1), ("Q", 0), ("R", 2)], [("P", "Q")] * 3 + [("Q", "R")] * 2)
+    b = DualGraph.from_names([("P", 1), ("Q", 0), ("R", 2)], [("P", "Q")] * 3 + [("Q", "R")] * 2)
+    assert a is not b and a == b
+    assert degree_class_group(a) is degree_class_group(b)
+    assert degree_class_group(a).order == complexity(a) == 6
+    assert isinstance(degree_class_group.cache_info().maxsize, int)

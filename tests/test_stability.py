@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nodalpic import (
+    CapExceeded,
     DualGraph,
     Multidegree,
     StabilityStatus,
@@ -17,8 +18,10 @@ from nodalpic import (
     enumerate_stable,
     enumerate_stable_disconnected,
     partial_normalization,
+    semistable_verdicts,
     vine_graph,
 )
+from nodalpic import stability
 from nodalpic.cli import build_semistable
 from nodalpic.oracle import semistable_bruteforce
 
@@ -185,3 +188,81 @@ def test_enumeration_permutation_equivariance():
         )
         got = sorted(d.entries for d in enumerate_semistable(h))
         assert got == expected
+
+
+def _multigraph(rng: random.Random, n: int) -> DualGraph:
+    """A connected curve on n components with a doubled node, maybe a loop,
+    and genera 0-2."""
+    vertices = [(f"v{i}", rng.randint(0, 2)) for i in range(n)]
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    edges.append(rng.choice(edges))
+    for _ in range(rng.randint(0, 3)):
+        edges.append(tuple(rng.sample(range(n), 2)))
+    if rng.random() < 0.6:
+        v = rng.randrange(n)
+        edges.append((v, v))
+    return DualGraph.from_names(vertices, [(f"v{a}", f"v{b}") for a, b in edges])
+
+
+def _cycle(n: int) -> DualGraph:
+    names = [f"c{i}" for i in range(n)]
+    return DualGraph.from_names(
+        [(x, 0) for x in names], [(names[i], names[(i + 1) % n]) for i in range(n)]
+    )
+
+
+def _complete(n: int) -> DualGraph:
+    names = [f"k{i}" for i in range(n)]
+    edges = [(x, y) for i, x in enumerate(names) for y in names[i + 1 :]]
+    return DualGraph.from_names([(x, 0) for x in names], edges)
+
+
+def _classifying_scan_curves() -> list[DualGraph]:
+    rng = random.Random(44)
+    curves = [_multigraph(rng, 2 + k % 8) for k in range(56)]
+    assert any(len(set(g.edges)) < len(g.edges) for g in curves)
+    assert any(u == v for g in curves for u, v in g.edges)
+    return curves + [_cycle(10), _complete(6)]
+
+
+@pytest.mark.parametrize("g", _classifying_scan_curves())
+def test_scan_verdicts_equal_check_stability(g):
+    semi = enumerate_semistable(g)
+    verdicts = semistable_verdicts(g)
+    assert verdicts == [check_stability(g, d) for d in semi]
+    stable = [d for d, v in zip(semi, verdicts) if v.status is StabilityStatus.STABLE]
+    assert enumerate_stable(g) == stable
+
+
+def test_scan_witnesses_are_the_table_subcurves_in_table_order():
+    g = _complete(5)
+    table = stability._subcurve_table(g, 20)
+    position = {z: k for k, (z, _) in enumerate(table)}
+    for v in semistable_verdicts(g):
+        indices = [position[w] for w in v.witnesses]
+        assert indices == sorted(indices)
+        assert all(w is table[k][0] for w, k in zip(v.witnesses, indices))
+
+
+@pytest.mark.parametrize("read", [enumerate_semistable, semistable_verdicts])
+def test_scan_readers_return_a_new_list_each_call(read):
+    g = vine_graph(1, 2, 3)
+    first = read(g)
+    expected = list(first)
+    first.clear()
+    assert read(g) == expected
+    assert read(g) is not read(g)
+
+
+@pytest.mark.parametrize("read", [enumerate_semistable, semistable_verdicts, enumerate_stable])
+def test_scan_cap_raises_on_every_call(read):
+    g = _cycle(4)
+    for _ in range(3):
+        with pytest.raises(CapExceeded, match="capped at 3 vertices"):
+            read(g, max_vertices=3)
+    assert len(read(g)) > 0
+
+
+def test_scan_memos_are_bounded():
+    for cached in (stability._plan, stability._semistable_scan):
+        assert isinstance(cached.cache_info().maxsize, int)
