@@ -118,8 +118,7 @@ def _parse_text(text: str):
 # -- report assembly -----------------------------------------------------------
 
 
-def _eps_value(graph: DualGraph):
-    eps = essential_connectivity(graph)
+def _eps_value(eps: float) -> int | str:
     return "infinity" if eps == math.inf else int(eps)
 
 
@@ -134,7 +133,7 @@ def curve_summary(graph: DualGraph) -> dict:
         "genus": c.genus,
         "complexity": complexity(graph),
         "tree_like": is_tree_like(graph),
-        "essential_connectivity": _eps_value(graph),
+        "essential_connectivity": _eps_value(essential_connectivity(graph)),
     }
 
 
@@ -330,13 +329,12 @@ def build_abel_g_minus_1(graph: DualGraph) -> dict:
 
 def build_abel_degree(graph: DualGraph, degree: int) -> dict:
     verdict = abel.naturality_necessary(graph, degree)
-    eps = verdict.essential_connectivity
     section = {
         "mode": "degree",
         "degree": degree,
         "status": verdict.status.value,
         "reason": verdict.reason,
-        "essential_connectivity": "infinity" if eps == math.inf else int(eps),
+        "essential_connectivity": _eps_value(verdict.essential_connectivity),
         "d_general": verdict.d_general.value if verdict.d_general else None,
     }
     if degree == 1:
@@ -452,8 +450,6 @@ def _curve_block(report: dict) -> list[str]:
 
 
 def _nodes_label(nodes: list[int]) -> str:
-    if not nodes:
-        return "{}"
     return "{" + ",".join(f"e{e}" for e in nodes) + "}"
 
 
@@ -469,10 +465,7 @@ def render_text(report: dict) -> str:
                 ("order", sec["order"]),
             ],
         )
-        rows = [
-            [_fmt_md(r["label"]) if r["label"] else "()", _fmt_md(r["multidegree"])]
-            for r in sec["representatives"]
-        ]
+        rows = [[_fmt_md(r["label"]), _fmt_md(r["multidegree"])] for r in sec["representatives"]]
         lines.append(f"  representatives in total degree {sec['degree']}:")
         lines += _table(["label", "multidegree"], rows, indent="    ")
     elif command == "semistable":
@@ -543,10 +536,7 @@ def render_text(report: dict) -> str:
         lines.append("")
         plural = "" if sec["count"] == 1 else "s"
         lines.append(f"Neron fiber in degree {sec['degree']}: {sec['count']} component{plural}")
-        rows = [
-            [_fmt_md(r["label"]) if r["label"] else "()", _fmt_md(r["representative"])]
-            for r in sec["components"]
-        ]
+        rows = [[_fmt_md(r["label"]), _fmt_md(r["representative"])] for r in sec["components"]]
         lines += _table(["label", "representative"], rows)
     elif command == "abel":
         sec = report["abel"]

@@ -13,13 +13,15 @@ copy of a tuple memoized by (graph, max_edges, max_vertices), and the memo
 keeps the last ``STRATA_CACHE_SIZE`` curves.  ``DualGraph`` is frozen and
 hashable, so equal graphs parsed apart share one entry, and the strata,
 components and theta reports of one curve run the 2^delta loop once between
-them.  A call that exceeds a cap raises every time; errors are not cached.
+them.  Each stratum carries the pieces of its partial normalization, one
+tuple per node set, so the theta strata read them off instead of normalizing
+again.  A call that exceeds a cap raises every time; errors are not cached.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -46,12 +48,16 @@ STRATA_CACHE_SIZE = 8
 class Stratum:
     """One stratum: normalized nodes, a stable multidegree, and its dimension.
 
-    The multidegree is indexed by the parent curve's vertex order.
+    The multidegree is indexed by the parent curve's vertex order.  ``pieces``
+    holds the connected pieces of the partial normalization at ``nodes``, in
+    ``partial_normalization`` order; the strata of one node set share one
+    tuple.  It takes no part in equality, hashing or ``repr``.
     """
 
     nodes: NodeSet
     multidegree: Multidegree
     dim: int
+    pieces: tuple[DualGraph, ...] = field(default=(), compare=False, repr=False)
 
 
 class PicardType(Enum):
@@ -117,12 +123,12 @@ def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratu
     for size in range(graph.delta + 1):
         for combo in combinations(range(graph.delta), size):
             nodes = NodeSet(combo)
-            parts = partial_normalization(graph, nodes)
+            parts = tuple(partial_normalization(graph, nodes))
             dim = g - size + (len(parts) - 1)
             for d in enumerate_stable_disconnected(
                 parts, vertex_order=graph.names, max_vertices=max_vertices
             ):
-                out.append(Stratum(nodes, d, dim))
+                out.append(Stratum(nodes, d, dim, parts))
     return tuple(out)
 
 
@@ -228,6 +234,7 @@ def specialize_two_component(graph: DualGraph, d: Multidegree) -> BoundaryPoint:
         nodes=all_nodes,
         multidegree=Multidegree((g1 - 1, g2 - 1)),
         dim=graph.genus - delta + 1,
+        pieces=tuple(partial_normalization(graph, all_nodes)),
     )
     name = graph.vertices[twisted].name
     other = graph.vertices[1 - twisted].name

@@ -10,15 +10,12 @@ applies, the dimension stays unknown rather than extrapolated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
 
 from .graph import (
     DEFAULT_MAX_SUBCURVE_VERTICES,
     DualGraph,
     component_arithmetic_genus,
     component_codegree,
-    partial_normalization,
 )
 from .multidegree import Multidegree
 from .picard import Stratum, strata, DEFAULT_MAX_STRATA_EDGES
@@ -122,18 +119,19 @@ def theta_strata(
     partial normalization, so the per-piece W-loci have dimension one less
     than the piece's Picard variety and the stratum dimension drops by
     exactly one; pieces of genus zero contribute nothing (their theta locus
-    is empty).  Strata come grouped by node set, so each set is normalized,
-    and its pieces located in the curve's vertex order, once.
+    is empty).  The pieces travel with the strata, one tuple per node set,
+    so each set's pieces are located in the curve's vertex order once.
     """
     position = {name: i for i, name in enumerate(graph.names)}
     out = []
-    for nodes, group in groupby(strata(graph, max_edges, max_vertices), key=attrgetter("nodes")):
-        parts = partial_normalization(graph, nodes)
-        indices = [[position[name] for name in piece.names] for piece in parts]
-        for stratum in group:
-            description, known = _describe(stratum, parts, indices)
-            dim = stratum.dim - 1 if known else None
-            out.append(ThetaStratum(base=stratum, description=description, dim=dim))
+    parts = None
+    for stratum in strata(graph, max_edges, max_vertices):
+        if stratum.pieces is not parts:
+            parts = stratum.pieces
+            indices = [[position[name] for name in piece.names] for piece in parts]
+        description, known = _describe(stratum, parts, indices)
+        dim = stratum.dim - 1 if known else None
+        out.append(ThetaStratum(base=stratum, description=description, dim=dim))
     return out
 
 
@@ -150,7 +148,7 @@ def _w_term(piece: DualGraph, local: Multidegree) -> str:
     return f"W_{local}({_format_piece(piece)})"
 
 
-def _describe(stratum: Stratum, parts: list[DualGraph], indices: list[list[int]]):
+def _describe(stratum: Stratum, parts: tuple[DualGraph, ...], indices: list[list[int]]):
     """Descriptor of one stratum; ``indices[j]`` lists the positions, in the
     curve's vertex order, of the vertices of ``parts[j]``."""
     entries = stratum.multidegree.entries

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from nodalpic import (
     vine_graph,
 )
 from nodalpic import graph as graph_module, picard
+from nodalpic.cli import parse_curve
 from nodalpic.errors import CapExceeded
 from nodalpic.picard import component_rule_validated
 
@@ -113,6 +115,24 @@ def test_strata_are_componentwise_stable_with_correct_dims():
             assert verdict.is_stable
             if not s.nodes.edges:
                 assert s.dim == counts(g).genus
+
+
+def _golden_and_random_curves():
+    golden = Path(__file__).parent / "golden"
+    curves = [parse_curve(str(p)) for p in sorted(golden.glob("*.txt")) if p.name.count(".") == 1]
+    rng = random.Random(71)
+    return curves + [random_connected_graph(rng, max_vertices=5, max_edges=7) for _ in range(8)]
+
+
+def test_strata_carry_the_pieces_of_their_node_set():
+    for g in _golden_and_random_curves():
+        shared = {}
+        for s in strata(g):
+            assert s.pieces == tuple(partial_normalization(g, s.nodes))
+            # one tuple per node set, shared by all its strata
+            assert shared.setdefault(s.nodes, s.pieces) is s.pieces
+            bare = Stratum(s.nodes, s.multidegree, s.dim)
+            assert bare == s and hash(bare) == hash(s) and repr(bare) == repr(s)
 
 
 def test_strata_match_independent_componentwise_scan():
@@ -240,6 +260,13 @@ def test_specialize_two_component_excess_on_first():
     assert bp.twisted_vertex == "C1"
     assert bp.twisted_branches == (0, 1, 2)
     assert bp.stratum.multidegree == Multidegree((-1, 1))
+
+
+def test_specialize_two_component_carries_its_pieces():
+    g = vine_graph(1, 2, 3)
+    pieces = specialize_two_component(g, Multidegree((0, 4))).stratum.pieces
+    assert pieces == tuple(partial_normalization(g, range(3)))
+    assert [(p.names, p.genus, p.delta) for p in pieces] == [(("C1",), 1, 0), (("C2",), 2, 0)]
 
 
 def test_specialize_two_component_rejections():

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from nodalpic import (
     w_components_vine_strictly_semistable,
     w_dimension,
 )
+from nodalpic import graph as graph_module, picard
 from nodalpic.stability import check_stability
 
 from helpers import random_connected_graph, single_vertex
@@ -154,6 +156,34 @@ def test_theta_strata_count_and_dims():
         for t in ts:
             if t.dim is not None:
                 assert t.dim == t.base.dim - 1
+
+
+def test_theta_strata_reads_the_pieces_off_the_strata(monkeypatch):
+    # count partial normalizations through every nodalpic module that binds one
+    real = graph_module.partial_normalization
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    modules = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.split(".")[0] == "nodalpic"
+        and getattr(module, "partial_normalization", None) is real
+    ]
+    assert picard in modules
+    for module in modules:
+        monkeypatch.setattr(module, "partial_normalization", counting)
+    g = vine_graph(1, 2, 4)
+    picard._strata.cache_clear()
+    base = strata(g)
+    assert len(calls) == 2**g.delta
+    calls.clear()
+    ts = theta_strata(g)
+    assert calls == []
+    assert [t.base for t in ts] == base
 
 
 def test_theta_stratum_empty_when_all_pieces_rational():
