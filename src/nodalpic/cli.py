@@ -213,15 +213,27 @@ def build_semistabilize(graph: DualGraph, entries: Sequence[int], max_vertices: 
     )
 
 
-def _stratum_record(graph: DualGraph, s: picard.Stratum, component_set) -> dict:
-    return {
-        "nodes": list(s.nodes.edges),
-        "node_names": [picard.edge_name(graph, e) for e in s.nodes.edges],
-        "multidegree": _md(s.multidegree),
-        "dim": s.dim,
-        "component": s in component_set,
-        "description": picard.stratum_description(graph, s),
-    }
+def _stratum_records(
+    graph: DualGraph, strata: Sequence[picard.Stratum], component_set
+) -> list[dict]:
+    # the strata of one node set are adjacent and share it: name its nodes once
+    records = []
+    nodes = None
+    for s in strata:
+        if s.nodes is not nodes:
+            nodes = s.nodes
+            names = [picard.edge_name(graph, e) for e in nodes.edges]
+        records.append(
+            {
+                "nodes": list(nodes.edges),
+                "node_names": names,
+                "multidegree": _md(s.multidegree),
+                "dim": s.dim,
+                "component": s in component_set,
+                "description": picard.stratum_description(s, names),
+            }
+        )
+    return records
 
 
 def build_strata(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
@@ -232,7 +244,7 @@ def build_strata(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
         graph,
         strata={
             "count": len(all_strata),
-            "strata": [_stratum_record(graph, s, comps) for s in all_strata],
+            "strata": _stratum_records(graph, all_strata, comps),
         },
     )
 
@@ -250,7 +262,7 @@ def build_components(graph: DualGraph, max_edges: int, max_vertices: int) -> dic
             "type": classification.kind.value,
             "tree_like": classification.tree_like,
             "rule_validated": classification.component_rule_validated,
-            "strata": [_stratum_record(graph, s, comp_set) for s in comps],
+            "strata": _stratum_records(graph, comps, comp_set),
         },
     )
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
 from .intlinalg import bareiss_determinant
@@ -441,7 +441,20 @@ def partial_normalization(graph: DualGraph, nodes: NodeSet | Iterable[int]) -> l
     for e in node_set.edges:
         if not 0 <= e < graph.delta:
             raise ValueError(f"unknown edge index {e}")
-    removed = set(node_set.edges)
+    return [
+        DualGraph(tuple(graph.vertices[i] for i in comp), edges)
+        for comp, edges in _normalization_pieces(graph, node_set.edges)
+    ]
+
+
+def _normalization_pieces(
+    graph: DualGraph, removed: Iterable[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """The pieces of the curve separated at the edges ``removed``, ordered by
+    their smallest vertex: each as its sorted original vertex indices and its
+    kept edges, in edge order, between positions in that tuple.  The pair
+    determines the piece's ``DualGraph``, so it can key a memo of pieces."""
+    removed = set(removed)
     kept = [e for i, e in enumerate(graph.edges) if i not in removed]
     pieces = _components(_adjacency(graph.gamma, kept), range(graph.gamma))
     piece_of = [0] * graph.gamma
@@ -453,7 +466,5 @@ def partial_normalization(graph: DualGraph, nodes: NodeSet | Iterable[int]) -> l
     piece_edges: list[list[tuple[int, int]]] = [[] for _ in pieces]
     for u, v in kept:
         piece_edges[piece_of[u]].append((local[u], local[v]))
-    return [
-        DualGraph(tuple(graph.vertices[i] for i in comp), edges)
-        for comp, edges in zip(pieces, piece_edges)
-    ]
+    for comp, edges in zip(pieces, piece_edges):
+        yield tuple(comp), tuple(edges)

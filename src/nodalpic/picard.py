@@ -16,6 +16,12 @@ components and theta reports of one curve run the 2^delta loop once between
 them.  Each stratum carries the pieces of its partial normalization, one
 tuple per node set, so the theta strata read them off instead of normalizing
 again.  A call that exceeds a cap raises every time; errors are not cached.
+
+The loop visits only the node sets that hold every bridge of the curve, and
+leaves a node set at its first piece that has a bridge: such a piece carries
+no stable multidegree (see ``_strata``).  Within one call each distinct piece
+is built and scanned once, so equal pieces of different strata are one
+object.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from typing import Sequence
 
 from .classgroup import ClassLabel, class_listing, degree_class_group
 from .errors import CapExceeded
@@ -32,12 +39,14 @@ from .graph import (
     DEFAULT_MAX_SUBCURVE_VERTICES,
     DualGraph,
     NodeSet,
+    _normalization_pieces,
+    bridges,
     complexity,
     is_tree_like,
     partial_normalization,
 )
 from .multidegree import Multidegree
-from .stability import enumerate_stable_disconnected
+from .stability import enumerate_stable
 
 DEFAULT_MAX_STRATA_EDGES = 12
 # curves whose strata lists ``_strata`` keeps
@@ -51,7 +60,8 @@ class Stratum:
     The multidegree is indexed by the parent curve's vertex order.  ``pieces``
     holds the connected pieces of the partial normalization at ``nodes``, in
     ``partial_normalization`` order; the strata of one node set share one
-    tuple.  It takes no part in equality, hashing or ``repr``.
+    tuple, and equal pieces of different node sets are one object.  It takes
+    no part in equality, hashing or ``repr``.
     """
 
     nodes: NodeSet
@@ -114,21 +124,64 @@ def strata(
 
 @lru_cache(maxsize=STRATA_CACHE_SIZE)
 def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratum, ...]:
+    """The strata list, visiting only the node sets whose pieces all carry a
+    stable multidegree.
+
+    A piece P with two or more components and a bridge carries none.  Split
+    P at the bridge into connected Z and Z^c; stability asks d_Z >= p_a(Z)
+    and d(Z^c) >= p_a(Z^c), and p_a(Z) + p_a(Z^c) = g_P, so d_P >= g_P,
+    while d_P = g_P - 1.  A bridge of the curve is a bridge of its piece in
+    every S that leaves it joined, so every stratum's S holds every bridge:
+    the loop runs over the other edges only and adds the bridges to each
+    set.  For sorted sets of one size, the first element of their symmetric
+    difference decides their order, and adding the same bridges to both
+    leaves that difference alone, so the sets still come in (|S|, S) order.
+    A node set is left at its first piece that has a bridge.
+
+    The pieces of different node sets often coincide, so each distinct
+    piece is built and scanned once per call, in a dict keyed by its
+    vertices and local edges; each row is reassembled by the piece's
+    original vertex indices.
+    """
     if graph.delta > max_edges:
         raise CapExceeded(
             f"stratum enumeration capped at {max_edges} edges (graph has {graph.delta})"
         )
+    # the whole curve is the piece of S = {}, which the loop skips when the
+    # curve has a bridge; its subcurve table would trip this cap
+    if 1 < graph.gamma and graph.gamma > max_vertices:
+        raise CapExceeded(
+            f"subcurve enumeration capped at {max_vertices} vertices "
+            f"(graph has {graph.gamma})"
+        )
     g = graph.genus
+    fixed = bridges(graph)
+    free = [e for e in range(graph.delta) if e not in fixed]
+    known: dict[tuple, tuple[DualGraph, list[Multidegree]]] = {}
     out: list[Stratum] = []
-    for size in range(graph.delta + 1):
-        for combo in combinations(range(graph.delta), size):
-            nodes = NodeSet(combo)
-            parts = tuple(partial_normalization(graph, nodes))
-            dim = g - size + (len(parts) - 1)
-            for d in enumerate_stable_disconnected(
-                parts, vertex_order=graph.names, max_vertices=max_vertices
-            ):
-                out.append(Stratum(nodes, d, dim, parts))
+    for size in range(len(fixed), graph.delta + 1):
+        for combo in combinations(free, size - len(fixed)):
+            nodes = NodeSet(fixed + combo)
+            found = []
+            for comp, edges in _normalization_pieces(graph, nodes.edges):
+                entry = known.get((comp, edges))
+                if entry is None:
+                    piece = DualGraph(tuple(graph.vertices[i] for i in comp), edges)
+                    bridged = piece.gamma > 1 and bridges(piece)
+                    rows = [] if bridged else enumerate_stable(piece, max_vertices)
+                    entry = known[comp, edges] = (piece, rows)
+                if not entry[1]:
+                    break
+                found.append((comp, *entry))
+            else:
+                parts = tuple(piece for _, piece, _ in found)
+                dim = g - size + (len(parts) - 1)
+                for choice in product(*(rows for _, _, rows in found)):
+                    entries = [0] * graph.gamma
+                    for (comp, _, _), local in zip(found, choice):
+                        for pos, value in zip(comp, local.entries):
+                            entries[pos] = value
+                    out.append(Stratum(nodes, Multidegree(entries), dim, parts))
     return tuple(out)
 
 
@@ -249,14 +302,14 @@ def specialize_two_component(graph: DualGraph, d: Multidegree) -> BoundaryPoint:
     )
 
 
-def stratum_description(graph: DualGraph, stratum: Stratum) -> str:
-    """Human-readable account of a stratum as line bundles on a blow-up."""
+def stratum_description(stratum: Stratum, node_names: Sequence[str]) -> str:
+    """Human-readable account of a stratum as line bundles on a blow-up;
+    ``node_names`` holds the ``edge_name`` of each node in ``stratum.nodes``."""
     d = stratum.multidegree
     if not stratum.nodes.edges:
         return f"line bundles of multidegree {d} on the curve itself"
-    edge_names = ", ".join(edge_name(graph, e) for e in stratum.nodes.edges)
     return (
-        f"line bundles on the blow-up at nodes [{edge_names}] with degree 1 on "
+        f"line bundles on the blow-up at nodes [{', '.join(node_names)}] with degree 1 on "
         f"each exceptional curve and multidegree {d} on the normalization"
     )
 

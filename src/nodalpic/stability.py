@@ -175,8 +175,8 @@ def _placements(components: Sequence[DualGraph], vertex_order: Sequence[str]) ->
     return [[position[name] for name in comp.names] for comp in components]
 
 
-# graphs whose scan plans ``_plan`` keeps; equal pieces of a strata loop
-# recur within a few dozen calls
+# graphs whose scan plans ``_plan`` keeps; a strata call scans each distinct
+# piece once, so its hits are pieces that recur between curves
 PLAN_CACHE_SIZE = 32
 # curves whose semistable rows and verdicts ``_semistable_scan`` keeps: the
 # two readers of one report run back to back

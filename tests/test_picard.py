@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,13 @@ from nodalpic import (
     NodeSet,
     PicardType,
     Stratum,
+    bridges,
     check_stability_parts,
     classify_type_g_minus_1,
     complexity,
     counts,
     d_general_verdict,
+    enumerate_stable_disconnected,
     irreducible_components,
     is_tree_like,
     neron_fiber,
@@ -84,6 +87,15 @@ def test_strata_max_vertices_reaches_the_pieces():
         classify_type_g_minus_1(triangle(), max_vertices=2)
 
 
+def test_strata_max_vertices_caps_a_curve_with_a_bridge():
+    # S = {} is skipped here, since P-Q is a bridge; the whole curve still trips the cap
+    g = DualGraph.from_names([("P", 1), ("Q", 0), ("R", 1)], [("P", "Q"), ("Q", "R"), ("Q", "R")])
+    assert bridges(g) == (0,)
+    with pytest.raises(CapExceeded, match="capped at 2 vertices"):
+        strata(g, max_vertices=2)
+    assert len(strata(g, max_vertices=3)) == 2
+
+
 def test_equal_graphs_share_one_strata_entry():
     a = DualGraph.from_names([("P", 1), ("Q", 2)], [("P", "Q")] * 4)
     b = DualGraph.from_names([("P", 1), ("Q", 2)], [("P", "Q")] * 4)
@@ -124,13 +136,56 @@ def _golden_and_random_curves():
     return curves + [random_connected_graph(rng, max_vertices=5, max_edges=7) for _ in range(8)]
 
 
+def _bridged_multigraph(rng: random.Random) -> DualGraph:
+    """A random curve with a loop, a doubled edge to a new vertex w and a
+    bridge to a new vertex t, in shuffled edge order."""
+    g = random_connected_graph(rng, max_vertices=4, max_edges=5, max_genus=2)
+    vertices = [(v.name, v.genus) for v in g.vertices] + [("w", 0), ("t", rng.randint(0, 2))]
+    edges = [(g.names[u], g.names[v]) for u, v in g.edges]
+    edges += [(rng.choice(g.names),) * 2] + [(rng.choice(g.names), "w")] * 2
+    edges.append((rng.choice(g.names + ("w",)), "t"))
+    rng.shuffle(edges)
+    return DualGraph.from_names(vertices, edges)
+
+
+def _bridged_curves():
+    rng = random.Random(83)
+    curves = [_bridged_multigraph(rng) for _ in range(30)]
+    assert all(bridges(g) and g.delta <= 9 for g in curves)
+    return curves
+
+
+def _strata_over_every_node_set(g: DualGraph) -> list[Stratum]:
+    out = []
+    for size in range(g.delta + 1):
+        for combo in combinations(range(g.delta), size):
+            nodes = NodeSet(combo)
+            parts = tuple(partial_normalization(g, nodes))
+            dim = g.genus - size + len(parts) - 1
+            for d in enumerate_stable_disconnected(parts, vertex_order=g.names):
+                out.append(Stratum(nodes, d, dim, parts))
+    return out
+
+
+def test_strata_equal_the_walk_over_every_node_set():
+    for g in _golden_and_random_curves() + _bridged_curves():
+        got = strata(g)
+        expected = _strata_over_every_node_set(g)
+        assert got == expected
+        fixed = set(bridges(g))
+        assert all(fixed <= set(s.nodes.edges) for s in got)
+
+
 def test_strata_carry_the_pieces_of_their_node_set():
-    for g in _golden_and_random_curves():
+    for g in _golden_and_random_curves() + _bridged_curves():
         shared = {}
+        pieces = {}
         for s in strata(g):
             assert s.pieces == tuple(partial_normalization(g, s.nodes))
             # one tuple per node set, shared by all its strata
             assert shared.setdefault(s.nodes, s.pieces) is s.pieces
+            # and equal pieces of different node sets are one object
+            assert all(pieces.setdefault(p, p) is p for p in s.pieces)
             bare = Stratum(s.nodes, s.multidegree, s.dim)
             assert bare == s and hash(bare) == hash(s) and repr(bare) == repr(s)
 

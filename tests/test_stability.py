@@ -9,6 +9,7 @@ from nodalpic import (
     StabilityStatus,
     Subcurve,
     TotalDegreeError,
+    bridges,
     check_stability,
     check_stability_parts,
     class_of,
@@ -266,3 +267,18 @@ def test_scan_cap_raises_on_every_call(read):
 def test_scan_memos_are_bounded():
     for cached in (stability._plan, stability._semistable_scan):
         assert isinstance(cached.cache_info().maxsize, int)
+
+
+def test_enumerate_stable_is_empty_exactly_on_bridged_curves():
+    # a bridge splits the curve into Z and Z^c with p_a(Z) + p_a(Z^c) = g,
+    # and stability would need d >= g; without a bridge a stable row exists
+    rng = random.Random(47)
+    seen = {True: 0, False: 0}
+    for _ in range(120):
+        g = random_connected_graph(rng, max_vertices=5, max_edges=8)
+        bridged = g.gamma > 1 and bool(bridges(g))
+        expected = semistable_bruteforce(g, strict=True)
+        assert (expected == []) == bridged
+        assert enumerate_stable(g) == expected
+        seen[bridged] += 1
+    assert min(seen.values()) >= 20
