@@ -487,10 +487,18 @@ def render_text(report: dict) -> str:
             f"semistable multidegrees in total degree {sec['total_degree']}: "
             f"{len(sec['semistable'])}"
         )
+        # build_semistable shares one name list per subcurve, so each is
+        # formatted once, keyed by the list's identity
+        braced: dict[int, str] = {}
         rows = []
         for v in sec["verdicts"]:
-            witnesses = "; ".join("{" + ",".join(w) + "}" for w in v["witnesses"])
-            rows.append([_fmt_md(v["multidegree"]), v["status"], witnesses])
+            cells = []
+            for w in v["witnesses"]:
+                cell = braced.get(id(w))
+                if cell is None:
+                    cell = braced[id(w)] = "{" + ",".join(w) + "}"
+                cells.append(cell)
+            rows.append([_fmt_md(v["multidegree"]), v["status"], "; ".join(cells)])
         lines += _table(["multidegree", "status", "witnesses"], rows)
         lines.append(f"stable multidegrees: {len(sec['stable'])}")
         for d in sec["stable"]:

@@ -387,26 +387,48 @@ def _subcurve_table(graph: DualGraph, max_vertices: int) -> tuple[tuple[Subcurve
 
     Ordered by size then lexicographically; singletons first, which lets
     stability scans reject unbalanced multidegrees quickly.
+
+    One pass over the vertex sets as bitmasks, in that order.  S is
+    connected when some j in S is adjacent to S - j and S - j is connected
+    (a leaf of a spanning tree of S is such a j), and then
+    p_a(S) = p_a(S - j) + g_j + loops_j - 1 + e(j, S - j).  S - j is
+    smaller, so it was met before; the last vertex of S is tried first.
     """
-    if graph.gamma > max_vertices:
+    n = graph.gamma
+    if n > max_vertices:
         raise CapExceeded(
             f"subcurve enumeration capped at {max_vertices} vertices "
-            f"(graph has {graph.gamma})"
+            f"(graph has {n})"
         )
-    table = []
-    adj = _adjacency(graph.gamma, graph.edges)
-    for size in range(1, graph.gamma):
-        for combo in combinations(range(graph.gamma), size):
-            if len(_components(adj, combo)) == 1:
-                table.append((Subcurve(combo), _subcurve_genus(graph, combo)))
+    bit = [1 << i for i in range(n)]
+    near = [0] * n
+    for u, v in graph.edges:
+        if u != v:
+            near[u] |= bit[v]
+            near[v] |= bit[u]
+    own = [graph.vertices[i].genus + graph.loops[i] - 1 for i in range(n)]
+    mult = graph.multiplicity
+    # p_a of each connected set met so far, keyed by its bitmask
+    pa = {bit[i]: own[i] + 1 for i in range(n)}
+    table = [(Subcurve((i,)), own[i] + 1) for i in range(n)] if n > 1 else []
+    for size in range(2, n):
+        for combo, bits in zip(combinations(range(n), size), combinations(bit, size)):
+            s = sum(bits)
+            j = combo[-1]
+            rest = s ^ bits[-1]
+            known = pa.get(rest)
+            if known is None or not near[j] & rest:
+                for j, b in zip(combo, bits):
+                    rest = s ^ b
+                    known = pa.get(rest)
+                    if known is not None and near[j] & rest:
+                        break
+                else:
+                    continue
+            # mult[j][j] is 0, so summing over all of S counts e(j, S - j)
+            p = pa[s] = known + own[j] + sum(map(mult[j].__getitem__, combo))
+            table.append((Subcurve(combo), p))
     return tuple(table)
-
-
-def _subcurve_genus(graph: DualGraph, members: tuple[int, ...]) -> int:
-    inside = set(members)
-    edges_inside = sum(1 for u, v in graph.edges if u in inside and v in inside)
-    genera = sum(graph.vertices[i].genus for i in members)
-    return genera + edges_inside - len(members) + 1
 
 
 def connected_subcurves(
@@ -424,7 +446,10 @@ def subcurve_arithmetic_genus(graph: DualGraph, subcurve: Subcurve) -> int:
             raise ValueError(f"subcurve references missing vertex index {i}")
     if len(_components(_adjacency(graph.gamma, graph.edges), members)) != 1:
         raise ValueError("subcurve is not connected")
-    return _subcurve_genus(graph, members)
+    inside = set(members)
+    edges_inside = sum(1 for u, v in graph.edges if u in inside and v in inside)
+    genera = sum(graph.vertices[i].genus for i in members)
+    return genera + edges_inside - len(members) + 1
 
 
 # -- partial normalization -----------------------------------------------------

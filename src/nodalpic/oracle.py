@@ -3,7 +3,9 @@
 Nothing here shares nontrivial code with the main modules: connectivity,
 arithmetic genus and the balancing predicate are all reimplemented from
 scratch, otherwise these routines would certify nothing.  They are meant for
-tests and for small desk-scale examples only.
+tests and for small desk-scale examples only, except the closed-form counts
+(``semistable_count``, ``stable_count``): they need no degree box and reach
+curves well past the brute-force bounds.
 
 The one shortcut is in ``semistable_bruteforce``: its scan never enters a
 value that the balancing predicate's own singleton inequality rejects, so the
@@ -80,6 +82,48 @@ def spanning_trees_bruteforce(graph: DualGraph, config: OracleConfig = OracleCon
         if _spans(n, list(subset)):
             count += 1
     return count
+
+
+def spanning_forest_counts(graph: DualGraph) -> list[int]:
+    """f_k, the number of k-edge spanning forests of the loopless graph, for
+    k = 0 .. gamma - 1 (parallel edges are distinct).
+
+    The edges are taken in order, each either skipped or kept.  A state is
+    the partition of the vertices into the components of the edges kept so
+    far, each vertex labelled by the smallest vertex of its component, with
+    the number of ways to reach it per edge count; an edge is kept only when
+    it joins two components, so loops never are.  The states number at most
+    the set partitions of the vertices, and far fewer when consecutive edges
+    share vertices, as on a cycle listed in order.
+    """
+    n = graph.gamma
+    states = {tuple(range(n)): [1] + [0] * (n - 1)}
+    for u, v in graph.edges:
+        after = {label: ways[:] for label, ways in states.items()}
+        for label, ways in states.items():
+            a, b = sorted((label[u], label[v]))
+            if a == b:
+                continue
+            merged = tuple(a if x == b else x for x in label)
+            target = after.setdefault(merged, [0] * n)
+            for k in range(n - 1):
+                target[k + 1] += ways[k]
+        states = after
+    return [sum(ways[k] for ways in states.values()) for k in range(n)]
+
+
+def semistable_count(graph: DualGraph) -> int:
+    """The number of semistable multidegrees in degree g-1: the number of
+    spanning forests of the loopless graph."""
+    return sum(spanning_forest_counts(graph))
+
+
+def stable_count(graph: DualGraph) -> int:
+    """The number of stable multidegrees in degree g-1: the alternating sum
+    of the forest counts, sum over k of (-1)^(gamma-1-k) f_k, which is the
+    Tutte polynomial's T(0, 1)."""
+    n = graph.gamma
+    return sum((-1) ** (n - 1 - k) * f for k, f in enumerate(spanning_forest_counts(graph)))
 
 
 def equivalent_bruteforce(

@@ -5,37 +5,42 @@ subcurve Z satisfies d_Z >= p_a(Z) - 1, and stable when the inequality is
 strict.  On a disconnected curve the condition is imposed per connected
 component, together with the matching total degree on each component.
 
-The enumerators choose d_0, d_1, ... in turn.  When d_i is chosen, every
-subcurve Z whose last vertex is i has its degree fixed, so d_Z >= p_a(Z) - 1
-(>= p_a(Z) when strict) is tested there; and every Z whose complement's last
-vertex is i has d(Z^c) fixed, so d(Z^c) <= g - p_a(Z) (<= g - p_a(Z) - 1
-when strict), the same inequality read through |d| = g-1, is tested there.
-Both tests bound d_i to a range, and no prefix outside it is extended.  The
-pruning is exact: each test is a necessary condition, so no result is lost;
-and a full multidegree has passed the test of every subcurve Z, at the depth
-of Z's last vertex and again through Z^c, so every leaf reached is a result.
-Either test alone would be exact; together they cut a failing prefix
-sooner.
+The enumerators choose d_0, d_1, ... in turn.  Each connected proper
+subcurve Z is tested once, at the earlier of the last vertex of Z and the
+last vertex of Z^c; one of the two is the last vertex of the curve, so the
+test lands on the other.  When Z ends first, d_Z >= p_a(Z) - 1 (>= p_a(Z)
+when strict) is tested once d_i is chosen for Z's last vertex i; otherwise
+Z^c ends first, and d(Z^c) <= g - p_a(Z) (<= g - p_a(Z) - 1 when strict),
+the same inequality read through |d| = g-1, is tested at Z^c's last vertex.
+Each test bounds d_i to a range, and no prefix outside it is extended.  The
+pruning is exact: each test is a necessary condition, so no result is lost.
+The tests held back at the last vertex are implied: the bounds on the
+degree of the vertices still to come force |d| = g-1, so there
+d_Z = g-1 - d(Z^c), and the kept test already bounded that quantity.  So
+the last depth has no tests, its entry is the remaining degree, and every
+visit there is a result.
 
 Each test needs the degree of its set minus i, which the scan keeps in
 slots: one slot per such vertex tuple and per tuple obtained from it by
 dropping last vertices.  When d_j is set, every slot whose tuple ends in j
 is filled with one add, its parent's sum (the tuple without j) plus d_j, so
-a test reads its known degree instead of summing it.  The per-graph plan of
-bounds and slots is built once and kept by ``_plan``.
+a test reads its known degree instead of summing it.  No slot holds the
+last vertex, so the last depth fills none.  The per-graph plan of bounds
+and slots is built once and kept by ``_plan``.
 
 The semistable scan also classifies each leaf.  Z is saturated when
-d_Z = p_a(Z) - 1, that is when d_i equals the lower test's value
-p_a(Z) - 1 - d(Z minus i), where i is Z's last vertex.  Every d_i the scan
-tries is at least the largest such value, lo, so the subcurves saturated at
-depth i are those whose value equals lo, and only at d_i = lo.  Recording
-them from the lower tests alone is exact: every saturated Z is a connected
-proper subcurve with a lower test at its own last vertex; and the upper test
-at Z^c is tight exactly when d(Z^c) = g - p_a(Z), the same equation, so it
-would only find Z again.  A leaf's witnesses are the union of its depths'
-records, sorted by table index, which is ``check_stability``'s order; every
-leaf is semistable, so no subcurve is violated.  ``enumerate_semistable``
-and ``semistable_verdicts`` read the rows and verdicts off one memoized scan.
+d_Z = p_a(Z) - 1.  If Z is tested from below at its last vertex i, that is
+when d_i equals the test's value p_a(Z) - 1 - d(Z minus i); every d_i the
+scan tries is at least the largest such value, lo, so the subcurves
+saturated there are those whose value equals lo, and only at d_i = lo.  If
+Z is tested from above at the last vertex i of Z^c, saturation is
+d(Z^c) = g - p_a(Z), the test being tight; every d_i tried is at most the
+smallest such value, hi, so those subcurves are recorded at d_i = hi only.
+Every Z has exactly one test, so each saturated Z is found once.  A leaf's
+witnesses are the union of its depths' records, sorted by table index,
+which is ``check_stability``'s order; every leaf is semistable, so no
+subcurve is violated.  ``enumerate_semistable`` and ``semistable_verdicts``
+read the rows and verdicts off one memoized scan.
 """
 
 from __future__ import annotations
@@ -190,13 +195,15 @@ def _plan(graph: DualGraph, strict: bool, max_vertices: int):
     """The scan's work at each depth i, ``(lower, upper, fills, low, high,
     suffix_high, suffix_low)``, the slot count and the table's subcurves.
 
-    Each connected proper subcurve Z, at table index k, gives two bounds:
-    ``(slot, p_a(Z) - 1, k)`` in ``lower`` at Z's last vertex, for
-    d_Z >= p_a(Z) - 1, and ``(slot, g - p_a(Z))`` in ``upper`` at the last
-    vertex of Z^c, for d(Z^c) <= g - p_a(Z); strict bounds are one tighter.
-    The slot holds the degree of the bounded set minus that vertex.  Once
-    d_i is set, each ``(slot, parent)`` in ``fills`` takes its parent's sum
-    plus d_i.
+    Each connected proper subcurve Z, at table index k, gets one test, at
+    the earlier of the last vertices of Z and Z^c, one of which is the last
+    vertex of the curve.  When Z ends earlier, ``(slot, p_a(Z) - 1, k)`` in
+    ``lower`` at Z's last vertex bounds d_Z >= p_a(Z) - 1; otherwise
+    ``(slot, g - p_a(Z), k)`` in ``upper`` at the last vertex of Z^c bounds
+    d(Z^c) <= g - p_a(Z).  Strict bounds are one tighter.  The slot holds
+    the degree of the bounded set minus that vertex.  Once d_i is set, each
+    ``(slot, parent)`` in ``fills`` takes its parent's sum plus d_i.  No
+    slot holds the last vertex, so the last depth has no tests and no fills.
     """
     n = graph.gamma
     g = graph.genus
@@ -214,13 +221,15 @@ def _plan(graph: DualGraph, strict: bool, max_vertices: int):
         return s
 
     lower: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    upper: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for k, (subcurve, pa) in enumerate(table):
         z = subcurve.vertices
-        lower[z[-1]].append((slot(z[:-1]), pa - slack, k))
-        inside = set(z)
-        zc = tuple(i for i in range(n) if i not in inside)
-        upper[zc[-1]].append((slot(zc[:-1]), g - pa - 1 + slack))
+        if z[-1] < n - 1:
+            lower[z[-1]].append((slot(z[:-1]), pa - slack, k))
+        else:
+            inside = set(z)
+            zc = tuple(i for i in range(n) if i not in inside)
+            upper[zc[-1]].append((slot(zc[:-1]), g - pa - 1 + slack, k))
 
     total = g - 1
     lows = [graph.vertices[i].genus + graph.loops[i] - 1 for i in range(n)]
@@ -253,14 +262,17 @@ def _scan(
     unless strict, the verdict of each."""
     levels, slot_count, subcurves = _plan(graph, strict, max_vertices)
     classify = not strict
-    n = graph.gamma
+    last = graph.gamma - 1
     rows: list[Multidegree] = []
     verdicts: list[StabilityVerdict] = []
-    prefix = [0] * n
+    prefix = [0] * graph.gamma
     sums = [0] * slot_count
 
     def scan(i, remaining, found):
-        if i == n:
+        if i == last:
+            # the suffix bounds of the depths above put d_i = remaining in
+            # range; on a one-component curve it is low_i = high_i = g - 1
+            prefix[i] = remaining
             rows.append(Multidegree(prefix))
             if classify:
                 if found:
@@ -273,29 +285,39 @@ def _scan(
         # every bounded subset at depth i holds i, so each test is a range for d_i
         lo = max(low_i, remaining - suffix_high)
         hi = min(high_i, remaining - suffix_low)
-        frame = []
+        at_lo = []
         for slot, low, k in lower:
             v = low - sums[slot]
             if v >= lo:
                 if v > lo:
                     lo = v
-                    frame = [k]
+                    at_lo = [k]
                 else:
-                    frame.append(k)
-        for slot, high in upper:
+                    at_lo.append(k)
+        at_hi = []
+        for slot, high, k in upper:
             v = high - sums[slot]
-            if v < hi:
-                hi = v
+            if v <= hi:
+                if v < hi:
+                    hi = v
+                    at_hi = [k]
+                else:
+                    at_hi.append(k)
         if lo > hi:
             return
-        # the frame's subcurves are saturated at d_i = lo only
-        child = found + frame if classify and frame else found
         for val in range(lo, hi + 1):
             prefix[i] = val
             for t, p in fills:
                 sums[t] = sums[p] + val
-            scan(i + 1, remaining - val, child)
             child = found
+            if classify:
+                # the subcurves of at_lo are saturated at d_i = lo only, those
+                # of at_hi (through their complements) at d_i = hi only
+                if val == lo and at_lo:
+                    child = child + at_lo
+                if val == hi and at_hi:
+                    child = child + at_hi
+            scan(i + 1, remaining - val, child)
 
     scan(0, graph.genus - 1, [])
     return rows, verdicts

@@ -392,3 +392,28 @@ def test_connected_subcurves_match_brute_force():
                 if len(_reference_components(size, inside)) == 1:
                     expected.append(Subcurve(combo))
         assert connected_subcurves(g) == expected
+
+
+def test_subcurve_table_equals_the_reference():
+    from itertools import combinations
+    from pathlib import Path
+
+    from nodalpic.cli import parse_curve
+    from nodalpic.graph import _subcurve_table
+
+    golden = Path(__file__).parent / "golden"
+    curves = [parse_curve(str(p)) for p in sorted(golden.glob("*.txt")) if p.name.count(".") == 1]
+    curves += [g for _, g in _random_graphs(105, 80)]
+    assert any(u == v for g in curves for u, v in g.edges)
+    assert any(len(set(g.edges)) < g.delta for g in curves)
+    assert any(g.gamma > 1 and bridges(g) for g in curves)
+    for g in curves:
+        expected = []
+        for size in range(1, g.gamma):
+            for combo in combinations(range(g.gamma), size):
+                z = Subcurve(combo)
+                try:
+                    expected.append((z, subcurve_arithmetic_genus(g, z)))
+                except ValueError:
+                    pass
+        assert _subcurve_table(g, 20) == tuple(expected)

@@ -10,10 +10,18 @@ from nodalpic.oracle import (
     SearchOutcome,
     equivalent_bruteforce,
     semistable_bruteforce,
+    spanning_forest_counts,
     spanning_trees_bruteforce,
 )
 
-from helpers import complete4, path3, random_connected_graph, single_vertex, triangle
+from helpers import (
+    complete4,
+    four_cycle,
+    path3,
+    random_connected_graph,
+    single_vertex,
+    triangle,
+)
 
 
 def test_spanning_trees_vine():
@@ -36,6 +44,21 @@ def test_spanning_trees_bounds():
     g = random_connected_graph(rng, max_vertices=6)
     with pytest.raises(CapExceeded):
         spanning_trees_bruteforce(g, OracleConfig(max_vertices=g.gamma - 1, max_edges=1))
+
+
+def test_spanning_forest_counts():
+    # a cycle's forests are its proper edge subsets, a vine's at most one edge
+    assert spanning_forest_counts(four_cycle()) == [1, 4, 6, 4]
+    assert spanning_forest_counts(vine_graph(1, 1, 3)) == [1, 3]
+    assert spanning_forest_counts(single_vertex(2, loops=3)) == [1]
+    rng = random.Random(6)
+    for _ in range(30):
+        g = random_connected_graph(rng, max_vertices=6, max_edges=10)
+        forests = spanning_forest_counts(g)
+        assert forests[0] == 1
+        assert forests[-1] == spanning_trees_bruteforce(g)
+        if g.gamma > 1:
+            assert forests[1] == sum(1 for u, v in g.edges if u != v)
 
 
 def test_equivalent_reflexive():

@@ -24,7 +24,7 @@ from nodalpic import (
 )
 from nodalpic import stability
 from nodalpic.cli import build_semistable
-from nodalpic.oracle import semistable_bruteforce
+from nodalpic.oracle import semistable_bruteforce, semistable_count, stable_count
 
 from helpers import (
     permuted,
@@ -228,11 +228,24 @@ def _classifying_scan_curves() -> list[DualGraph]:
 
 @pytest.mark.parametrize("g", _classifying_scan_curves())
 def test_scan_verdicts_equal_check_stability(g):
-    semi = enumerate_semistable(g)
-    verdicts = semistable_verdicts(g)
-    assert verdicts == [check_stability(g, d) for d in semi]
-    stable = [d for d, v in zip(semi, verdicts) if v.status is StabilityStatus.STABLE]
-    assert enumerate_stable(g) == stable
+    # the scan tests a subcurve at whichever of its ends and its complement's
+    # comes first, so every rotation of the vertex order is checked
+    for r in range(g.gamma):
+        h = permuted(g, [(i + r) % g.gamma for i in range(g.gamma)])
+        semi = enumerate_semistable(h)
+        verdicts = semistable_verdicts(h)
+        assert verdicts == [check_stability(h, d) for d in semi]
+        stable = [d for d, v in zip(semi, verdicts) if v.status is StabilityStatus.STABLE]
+        assert enumerate_stable(h) == stable
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_plan_tests_each_subcurve_once_and_nothing_at_the_last_depth(strict):
+    for g in _classifying_scan_curves():
+        levels, _, subcurves = stability._plan(g, strict, 20)
+        tested = [k for lower, upper, *_ in levels for *_, k in lower + upper]
+        assert sorted(tested) == list(range(len(subcurves)))
+        assert levels[-1][:3] == ((), (), ())
 
 
 def test_scan_witnesses_are_the_table_subcurves_in_table_order():
@@ -282,3 +295,33 @@ def test_enumerate_stable_is_empty_exactly_on_bridged_curves():
         assert enumerate_stable(g) == expected
         seen[bridged] += 1
     assert min(seen.values()) >= 20
+
+
+def _bridgeless_multigraph(rng: random.Random, n: int) -> DualGraph:
+    """A curve on n components: a cycle through them in random order, one to
+    four chords (maybe parallel to an edge), maybe a loop, genera 0-2."""
+    order = rng.sample(range(n), n)
+    edges = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    for _ in range(rng.randint(1, 4)):
+        edges.append(tuple(rng.sample(range(n), 2)))
+    if rng.random() < 0.6:
+        v = rng.randrange(n)
+        edges.append((v, v))
+    vertices = [(f"v{i}", rng.randint(0, 2)) for i in range(n)]
+    return DualGraph.from_names(vertices, [(f"v{a}", f"v{b}") for a, b in edges])
+
+
+def _closed_form_cases() -> list[tuple[DualGraph, tuple[int, int] | None]]:
+    rng = random.Random(48)
+    seeded = [(_multigraph(rng, 7 + k % 3), None) for k in range(6)]
+    seeded += [(_bridgeless_multigraph(rng, 7 + k % 3), None) for k in range(6)]
+    return [(_cycle(14), (16383, 1)), (_complete(7), (36961, 7575))] + seeded
+
+
+@pytest.mark.parametrize("g,known", _closed_form_cases())
+def test_counts_equal_the_forest_closed_forms_past_the_oracle_range(g, known):
+    # the brute-force oracle stops at 6 vertices; the closed forms reach further
+    counted = (len(enumerate_semistable(g)), len(enumerate_stable(g)))
+    assert counted == (semistable_count(g), stable_count(g))
+    if known is not None:
+        assert counted == known
