@@ -15,12 +15,9 @@ from operator import add
 from typing import Sequence
 
 from .errors import TotalDegreeError
-from .graph import DEFAULT_MAX_SUBCURVE_VERTICES, DualGraph, Subcurve, _subcurve_table
+from .graph import DEFAULT_MAX_SUBCURVE_VERTICES, MEMO_SIZE, DualGraph, Subcurve, _subcurve_table
 from .intlinalg import mat_vec, smith_normal_form
 from .multidegree import Multidegree
-
-# curves whose class groups ``degree_class_group`` keeps
-CLASS_GROUP_CACHE_SIZE = 8
 
 
 def laplacian(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
@@ -88,12 +85,13 @@ class DegreeClassGroup:
     _right: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=CLASS_GROUP_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def degree_class_group(graph: DualGraph) -> DegreeClassGroup:
     """The class group of ``graph``, from one Smith normal form per curve.
 
     The result is frozen and holds only tuples, so equal graphs share it
-    through a memo of the last ``CLASS_GROUP_CACHE_SIZE`` curves.
+    through a memo of the last ``MEMO_SIZE`` curves: the ``classgroup``,
+    ``neron`` and ``semistabilize`` reports of one curve build it once.
     """
     n = graph.gamma
     lap = laplacian(graph)

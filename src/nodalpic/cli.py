@@ -169,7 +169,7 @@ def build_classgroup(graph: DualGraph, degree: int) -> dict:
 
 
 def build_semistable(graph: DualGraph, max_vertices: int) -> dict:
-    semi = stability.enumerate_semistable(graph, max_vertices)
+    rows = [_md(d) for d in stability.enumerate_semistable(graph, max_vertices)]
     verdicts = stability.semistable_verdicts(graph, max_vertices)
     # name each witness subcurve once, keyed by its vertex tuple
     names: dict[tuple[int, ...], list[str]] = {}
@@ -182,15 +182,15 @@ def build_semistable(graph: DualGraph, max_vertices: int) -> dict:
         graph,
         semistable={
             "total_degree": graph.genus - 1,
-            "semistable": [_md(d) for d in semi],
-            "stable": [_md(d) for d, v in zip(semi, verdicts) if v.is_stable],
+            "semistable": rows,
+            "stable": [row for row, v in zip(rows, verdicts) if v.is_stable],
             "verdicts": [
                 {
-                    "multidegree": _md(d),
+                    "multidegree": row,
                     "status": v.status.value,
                     "witnesses": [names[w.vertices] for w in v.witnesses],
                 }
-                for d, v in zip(semi, verdicts)
+                for row, v in zip(rows, verdicts)
             ],
         },
     )
@@ -624,6 +624,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be non-negative, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
@@ -637,14 +647,14 @@ def _build_parser() -> _Parser:
     vertex_cap = argparse.ArgumentParser(add_help=False)
     vertex_cap.add_argument(
         "--max-vertices",
-        type=int,
+        type=_cap,
         default=DEFAULT_MAX_SUBCURVE_VERTICES,
         help="cap for subcurve enumeration (default %(default)s)",
     )
     edge_cap = argparse.ArgumentParser(add_help=False)
     edge_cap.add_argument(
         "--max-edges",
-        type=int,
+        type=_cap,
         default=DEFAULT_MAX_STRATA_EDGES,
         help="cap for node-subset enumeration (default %(default)s)",
     )

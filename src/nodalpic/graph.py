@@ -20,8 +20,9 @@ from .errors import CapExceeded
 from .intlinalg import bareiss_determinant
 
 DEFAULT_MAX_SUBCURVE_VERTICES = 20
-# subcurve tables kept at once; a strata call builds one per distinct piece
-SUBCURVE_CACHE_SIZE = 256
+# graphs kept by each per-graph memo; their reuse is a second read of a
+# curve that was just computed
+MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -381,7 +382,7 @@ def _global_min_cut(weights: list[list[int]]) -> int:
 # -- subcurves ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=SUBCURVE_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _subcurve_table(graph: DualGraph, max_vertices: int) -> tuple[tuple[Subcurve, int], ...]:
     """All connected proper subcurves with their arithmetic genera.
 
@@ -395,6 +396,8 @@ def _subcurve_table(graph: DualGraph, max_vertices: int) -> tuple[tuple[Subcurve
     smaller, so it was met before; the last vertex of S is tried first.
     """
     n = graph.gamma
+    if n == 1:  # no proper subcurve, so nothing for the cap to bound
+        return ()
     if n > max_vertices:
         raise CapExceeded(
             f"subcurve enumeration capped at {max_vertices} vertices "
@@ -410,7 +413,7 @@ def _subcurve_table(graph: DualGraph, max_vertices: int) -> tuple[tuple[Subcurve
     mult = graph.multiplicity
     # p_a of each connected set met so far, keyed by its bitmask
     pa = {bit[i]: own[i] + 1 for i in range(n)}
-    table = [(Subcurve((i,)), own[i] + 1) for i in range(n)] if n > 1 else []
+    table = [(Subcurve((i,)), own[i] + 1) for i in range(n)]
     for size in range(2, n):
         for combo, bits in zip(combinations(range(n), size), combinations(bit, size)):
             s = sum(bits)

@@ -10,7 +10,7 @@ two-component boundary specialization rule.
 
 The strata list of a curve is built once and shared: ``strata`` returns a
 copy of a tuple memoized by (graph, max_edges, max_vertices), and the memo
-keeps the last ``STRATA_CACHE_SIZE`` curves.  ``DualGraph`` is frozen and
+keeps the last ``MEMO_SIZE`` curves.  ``DualGraph`` is frozen and
 hashable, so equal graphs parsed apart share one entry, and the strata,
 components and theta reports of one curve run the 2^delta loop once between
 them.  Each stratum carries the pieces of its partial normalization, one
@@ -37,6 +37,7 @@ from .classgroup import ClassLabel, class_listing, degree_class_group
 from .errors import CapExceeded
 from .graph import (
     DEFAULT_MAX_SUBCURVE_VERTICES,
+    MEMO_SIZE,
     DualGraph,
     NodeSet,
     _normalization_pieces,
@@ -49,8 +50,6 @@ from .multidegree import Multidegree
 from .stability import enumerate_stable
 
 DEFAULT_MAX_STRATA_EDGES = 12
-# curves whose strata lists ``_strata`` keeps
-STRATA_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def strata(
     return list(_strata(graph, max_edges, max_vertices))
 
 
-@lru_cache(maxsize=STRATA_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratum, ...]:
     """The strata list, visiting only the node sets whose pieces all carry a
     stable multidegree.

@@ -25,8 +25,8 @@ slots: one slot per such vertex tuple and per tuple obtained from it by
 dropping last vertices.  When d_j is set, every slot whose tuple ends in j
 is filled with one add, its parent's sum (the tuple without j) plus d_j, so
 a test reads its known degree instead of summing it.  No slot holds the
-last vertex, so the last depth fills none.  The per-graph plan of bounds
-and slots is built once and kept by ``_plan``.
+last vertex, so the last depth fills none.  ``_plan`` builds the bounds and
+slots of one scan.
 
 The semistable scan also classifies each leaf.  Z is saturated when
 d_Z = p_a(Z) - 1.  If Z is tested from below at its last vertex i, that is
@@ -40,7 +40,7 @@ Every Z has exactly one test, so each saturated Z is found once.  A leaf's
 witnesses are the union of its depths' records, sorted by table index,
 which is ``check_stability``'s order; every leaf is semistable, so no
 subcurve is violated.  ``enumerate_semistable`` and ``semistable_verdicts``
-read the rows and verdicts off one memoized scan.
+read the rows and verdicts off one memoized ``_scan``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from typing import Sequence
 from .errors import TotalDegreeError
 from .graph import (
     DEFAULT_MAX_SUBCURVE_VERTICES,
+    MEMO_SIZE,
     DualGraph,
     Subcurve,
     _subcurve_table,
@@ -180,17 +181,9 @@ def _placements(components: Sequence[DualGraph], vertex_order: Sequence[str]) ->
     return [[position[name] for name in comp.names] for comp in components]
 
 
-# graphs whose scan plans ``_plan`` keeps; a strata call scans each distinct
-# piece once, so its hits are pieces that recur between curves
-PLAN_CACHE_SIZE = 32
-# curves whose semistable rows and verdicts ``_semistable_scan`` keeps: the
-# two readers of one report run back to back
-SCAN_CACHE_SIZE = 2
-
 _STABLE = StabilityVerdict(StabilityStatus.STABLE)
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(graph: DualGraph, strict: bool, max_vertices: int):
     """The scan's work at each depth i, ``(lower, upper, fills, low, high,
     suffix_high, suffix_low)``, the slot count and the table's subcurves.
@@ -207,7 +200,7 @@ def _plan(graph: DualGraph, strict: bool, max_vertices: int):
     """
     n = graph.gamma
     g = graph.genus
-    table = _subcurve_table(graph, max_vertices) if n > 1 else ()
+    table = _subcurve_table(graph, max_vertices)
     slack = 0 if strict else 1
     slots = {(): 0}
     fills: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -255,11 +248,13 @@ def _plan(graph: DualGraph, strict: bool, max_vertices: int):
     return levels, len(slots), tuple(z for z, _ in table)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _scan(
     graph: DualGraph, strict: bool, max_vertices: int
-) -> tuple[list[Multidegree], list[StabilityVerdict]]:
+) -> tuple[tuple[Multidegree, ...], tuple[StabilityVerdict, ...]]:
     """The multidegrees that pass every test, in lexicographic order, and,
-    unless strict, the verdict of each."""
+    unless strict, the verdict of each.  Callers pass every argument by
+    position, so equal calls share one memo key."""
     levels, slot_count, subcurves = _plan(graph, strict, max_vertices)
     classify = not strict
     last = graph.gamma - 1
@@ -320,14 +315,6 @@ def _scan(
             scan(i + 1, remaining - val, child)
 
     scan(0, graph.genus - 1, [])
-    return rows, verdicts
-
-
-@lru_cache(maxsize=SCAN_CACHE_SIZE)
-def _semistable_scan(
-    graph: DualGraph, max_vertices: int
-) -> tuple[tuple[Multidegree, ...], tuple[StabilityVerdict, ...]]:
-    rows, verdicts = _scan(graph, strict=False, max_vertices=max_vertices)
     return tuple(rows), tuple(verdicts)
 
 
@@ -336,9 +323,9 @@ def enumerate_semistable(
 ) -> list[Multidegree]:
     """All semistable multidegrees of total degree g-1, in lexicographic order.
 
-    Each call returns a new list, read off the memo ``_semistable_scan``.
+    Each call returns a new list, read off the memo ``_scan``.
     """
-    return list(_semistable_scan(graph, max_vertices)[0])
+    return list(_scan(graph, False, max_vertices)[0])
 
 
 def semistable_verdicts(
@@ -346,15 +333,16 @@ def semistable_verdicts(
 ) -> list[StabilityVerdict]:
     """The verdict of each multidegree of ``enumerate_semistable``, in its
     order; equal to ``check_stability`` on each, without summing the table
-    again.  Each call returns a new list, read off ``_semistable_scan``."""
-    return list(_semistable_scan(graph, max_vertices)[1])
+    again.  Each call returns a new list, read off ``_scan``."""
+    return list(_scan(graph, False, max_vertices)[1])
 
 
 def enumerate_stable(
     graph: DualGraph, max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES
 ) -> list[Multidegree]:
-    """All stable multidegrees of total degree g-1; may be empty."""
-    return _scan(graph, strict=True, max_vertices=max_vertices)[0]
+    """All stable multidegrees of total degree g-1; may be empty.  Each
+    call returns a new list, read off ``_scan``."""
+    return list(_scan(graph, True, max_vertices)[0])
 
 
 def enumerate_stable_disconnected(

@@ -1,11 +1,15 @@
 import gzip
+import importlib
 import json
+import pkgutil
 from collections import OrderedDict
 from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
+import nodalpic
+from nodalpic import classgroup, graph, picard, stability
 from nodalpic.cli import (
     _json,
     build_classgroup,
@@ -15,6 +19,7 @@ from nodalpic.cli import (
     main,
     parse_curve,
 )
+from nodalpic.graph import MEMO_SIZE
 
 VINE_TEXT = """\
 # two smooth components joined at three nodes
@@ -378,3 +383,89 @@ def test_stdin_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(VINE_TEXT))
     assert main(["info", "-"]) == 0
     assert "genus" in capsys.readouterr().out
+
+
+ONE_COMPONENT_TEXT = "vertex A 2\nedge A A\n"
+
+
+@pytest.mark.parametrize(
+    "command,cap,value,message",
+    [
+        ("semistable", "--max-vertices", "-3", "a cap must be non-negative, got -3"),
+        ("semistabilize", "--max-vertices", "-1", "a cap must be non-negative, got -1"),
+        ("strata", "--max-edges", "-1", "a cap must be non-negative, got -1"),
+        ("strata", "--max-vertices", "x", "invalid int value: 'x'"),
+        ("strata", "--max-edges", "x", "invalid int value: 'x'"),
+    ],
+)
+def test_main_bad_cap_is_a_usage_error(command, cap, value, message, tmp_path, capsys):
+    # on a one-component curve no subcurve table would ever read the cap
+    path = tmp_path / "one.txt"
+    path.write_text(ONE_COMPONENT_TEXT)
+    required = {"semistabilize": ["-d", "2"]}
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path), *required.get(command, []), cap, value])
+    assert err.value.code == 1
+    assert f"argument {cap}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["semistable"], ["semistabilize", "-d", "2"], ["strata"], ["components"], ["theta"]]
+)
+def test_main_zero_vertex_cap_on_a_one_component_curve(command, tmp_path, capsys):
+    # such a curve has no proper subcurve, so the vertex cap has nothing to bound
+    path = tmp_path / "one.txt"
+    path.write_text(ONE_COMPONENT_TEXT)
+    assert main([command[0], str(path), *command[1:]]) == 0
+    expected = capsys.readouterr().out
+    assert main([command[0], str(path), *command[1:], "--max-vertices", "0"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_per_graph_memos_share_one_bound():
+    memos = {}
+    for info in pkgutil.iter_modules(nodalpic.__path__):
+        module = importlib.import_module(f"nodalpic.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                memos[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    assert memos == {
+        "graph._subcurve_table": MEMO_SIZE,
+        "stability._scan": MEMO_SIZE,
+        "classgroup.degree_class_group": MEMO_SIZE,
+        "picard._strata": MEMO_SIZE,
+        # one parser per process, built on first use
+        "cli._build_parser": None,
+    }
+
+
+def test_semistable_report_scans_once(vine_file, capsys):
+    stability._scan.cache_clear()
+    assert main(["semistable", vine_file]) == 0
+    info = stability._scan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_semistabilize_builds_one_subcurve_table(vine_file, capsys):
+    graph._subcurve_table.cache_clear()
+    # the status line's check_stability reads the table that semistabilize built
+    assert main(["semistabilize", vine_file, "-d", "4,-2"]) == 0
+    info = graph._subcurve_table.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
+def test_strata_reports_of_one_curve_build_strata_once(vine_file, capsys):
+    picard._strata.cache_clear()
+    for command in ("strata", "components", "theta"):
+        assert main([command, vine_file]) == 0
+    info = picard._strata.cache_info()
+    assert info.misses == 1 and info.hits >= 2
+
+
+def test_lattice_reports_of_one_curve_build_one_class_group(vine_file, capsys):
+    classgroup.degree_class_group.cache_clear()
+    assert main(["classgroup", vine_file]) == 0
+    assert main(["neron", vine_file]) == 0
+    assert main(["semistabilize", vine_file, "-d", "4,-2"]) == 0
+    info = classgroup.degree_class_group.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
