@@ -26,7 +26,7 @@ from nodalpic import (
     strata,
     vine_graph,
 )
-from nodalpic import picard
+from nodalpic import graph as graph_module, picard
 from nodalpic.cli import parse_curve
 from nodalpic.errors import CapExceeded
 from nodalpic.picard import component_rule_validated
@@ -104,6 +104,11 @@ def test_equal_graphs_share_one_strata_entry():
     hits = picard._strata.cache_info().hits
     assert strata(b) == strata(a)
     assert picard._strata.cache_info().hits == hits + 2
+
+
+def test_caches_are_bounded():
+    for cached in (picard._strata, graph_module._subcurve_table):
+        assert cached.cache_info().maxsize == graph_module.MEMO_SIZE
 
 
 def test_strata_are_componentwise_stable_with_correct_dims():

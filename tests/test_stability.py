@@ -277,6 +277,12 @@ def test_scan_cap_raises_on_every_call(read):
     assert len(read(g)) > 0
 
 
+def test_scan_memos_are_bounded():
+    # the scan is the only memo in stability; its plan is not memoized apart
+    assert stability._scan.cache_info().maxsize == stability.MEMO_SIZE
+    assert not hasattr(stability._plan, "cache_info")
+
+
 def test_enumerate_stable_is_empty_exactly_on_bridged_curves():
     # a bridge splits the curve into Z and Z^c with p_a(Z) + p_a(Z^c) = g,
     # and stability would need d >= g; without a bridge a stable row exists
