@@ -147,28 +147,38 @@ def representative(dcg: DegreeClassGroup, label: ClassLabel) -> Multidegree:
     return Multidegree([label.total_degree - sum(coords)] + coords)
 
 
+def class_rows(dcg: DegreeClassGroup, total_degree: int) -> list[tuple[list[int], list[int]]]:
+    """Every class of the given total as plain (residues, entries) lists.
+
+    The entries are those of ``representative`` of the label with these
+    residues.  Labels run in ``itertools.product`` order over the invariant
+    factors, so each label is read off the odometer rather than recomputed
+    by ``class_of``.  The representative of residues r has coordinates
+    c = left_inv @ r, a sum of r_k times the k-th column of ``left_inv``, and
+    first entry total - sum(c), which is linear in r as well.  So each
+    factor extends the partial entries of the previous ones by a multiple of
+    one column and of its sum: O(gamma) work per class.
+    """
+    labels: list[list[int]] = [[]]
+    rows: list[list[int]] = [[total_degree] + [0] * (dcg.gamma - 1)]
+    for pos, f in enumerate(dcg._diagonal):
+        if f > 1:
+            column = [row[pos] for row in dcg._left_inv]
+            column.insert(0, -sum(column))
+            multiples = [[r * x for x in column] for r in range(f)]
+            rows = [list(map(add, c, m)) for c in rows for m in multiples]
+            labels = [label + [r] for label in labels for r in range(f)]
+    return list(zip(labels, rows))
+
+
 def class_listing(
     dcg: DegreeClassGroup, total_degree: int
 ) -> list[tuple[ClassLabel, Multidegree]]:
-    """Every class of the given total as (label, ``representative(label)``).
-
-    Labels run in ``itertools.product`` order over the invariant factors, so
-    each label is read off the odometer rather than recomputed by
-    ``class_of``.  The representative of residues r is left_inv @ r, a sum
-    of r_k times the k-th column of ``left_inv``, so each factor extends the
-    partial sums of the previous ones by a multiple of one column: O(gamma)
-    work per class.
-    """
-    labels: list[tuple[int, ...]] = [()]
-    coords: list[list[int]] = [[0] * (dcg.gamma - 1)]
-    for pos, f in enumerate(dcg._diagonal):
-        if f > 1:
-            multiples = [[r * row[pos] for row in dcg._left_inv] for r in range(f)]
-            coords = [list(map(add, c, m)) for c in coords for m in multiples]
-            labels = [label + (r,) for label in labels for r in range(f)]
+    """Every class of the given total as (label, ``representative(label)``),
+    in the order of ``class_rows``."""
     return [
-        (ClassLabel(label, total_degree), Multidegree([total_degree - sum(c)] + c))
-        for label, c in zip(labels, coords)
+        (ClassLabel(tuple(residues), total_degree), Multidegree(entries))
+        for residues, entries in class_rows(dcg, total_degree)
     ]
 
 

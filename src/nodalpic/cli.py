@@ -15,6 +15,8 @@ import json
 import math
 import re
 import sys
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 from . import abel, classgroup, picard, stability, theta
@@ -161,8 +163,8 @@ def build_classgroup(graph: DualGraph, degree: int) -> dict:
             "order": dcg.order,
             "degree": degree,
             "representatives": [
-                {"label": list(label.residues), "multidegree": _md(rep)}
-                for label, rep in classgroup.class_listing(dcg, degree)
+                {"label": label, "multidegree": entries}
+                for label, entries in classgroup.class_rows(dcg, degree)
             ],
         },
     )
@@ -289,16 +291,17 @@ def build_theta(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
 
 
 def build_neron(graph: DualGraph, degree: int) -> dict:
-    fiber = picard.neron_fiber(graph, degree)
+    # the fields of picard.neron_fiber, without a label or multidegree object per class
+    dcg = classgroup.degree_class_group(graph)
     return _report(
         "neron",
         graph,
         neron={
-            "degree": fiber.degree,
-            "count": fiber.count,
+            "degree": degree,
+            "count": dcg.order,
             "components": [
-                {"label": list(label.residues), "representative": _md(rep)}
-                for label, rep in fiber.components
+                {"label": label, "representative": entries}
+                for label, entries in classgroup.class_rows(dcg, degree)
             ],
         },
     )
@@ -377,6 +380,8 @@ def build_dgeneral(graph: DualGraph, degree: int) -> dict:
 
 _encode_str = json.encoder.encode_basestring
 _INT_ONLY = {int}
+_DICT_ONLY = {dict}
+_LIST_ONLY = {list}
 
 
 def _json(value, newline: str = "\n") -> str:
@@ -384,7 +389,8 @@ def _json(value, newline: str = "\n") -> str:
 
     With an indent, ``json.dumps`` runs the pure-Python encoder.  Here plain
     dicts, lists and tuples are written directly, every string goes through
-    the C ``encode_basestring``, and a list of plain ints takes one join.
+    the C ``encode_basestring``, a list of plain ints takes one join, and a
+    list of int-list records fills one %-template (``_int_records``).
     Reports hold nothing else, so any other type (floats and subclasses
     included) raises ``TypeError``.  ``newline`` is the line break plus the
     indentation of ``value``.  Dict keys must be strings.
@@ -404,17 +410,59 @@ def _json(value, newline: str = "\n") -> str:
     if kind is dict:
         if not value:
             return "{}"
-        items = [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        body = ("," + inner).join(
+            [f"{_encode_str(k)}: {_json(v, inner)}" for k, v in value.items()]
+        )
+        # an f-string copies a long listing once, where each + would copy it again
+        return f"{{{inner}{body}{newline}}}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         if set(map(type, value)) == _INT_ONLY:
-            items = map(int.__repr__, value)
+            body = ("," + inner).join(map(int.__repr__, value))
         else:
-            items = [_json(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            body = _int_records(value, inner)
+            if body is None:
+                body = ("," + inner).join([_json(x, inner) for x in value])
+        return f"[{inner}{body}{newline}]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _int_records(rows, newline: str) -> str | None:
+    """The rows of a list of int-list records, joined as ``_json`` joins
+    them, or None when the list does not qualify.
+
+    It qualifies when each row is a plain dict with the first row's keys in
+    the same order, each value is a list of plain ints (no bool, no IntEnum),
+    and each key's list has one length in all rows.  Then one row's text is
+    a template with the keys and indentation as text and a ``%d`` per entry,
+    and the rows are that template repeated, filled with every entry in
+    order by one ``%``.  A list whose first row does not qualify is given up
+    on that row, so lists of other records pay for one row's look.
+    """
+    first = rows[0]
+    if type(first) is not dict or not first:
+        return None
+    inner = newline + "  "
+    deeper = inner + "  "
+    parts = []
+    for key, entries in first.items():
+        if type(entries) is not list or not _INT_ONLY.issuperset(map(type, entries)):
+            return None
+        body = "[" + deeper + ("," + deeper).join(["%d"] * len(entries)) + inner + "]"
+        parts.append(_encode_str(key).replace("%", "%%") + ": " + (body if entries else "[]"))
+    keys = tuple(first)
+    if set(map(type, rows)) != _DICT_ONLY or not all(map(keys.__eq__, map(tuple, rows))):
+        return None
+    for key in keys:
+        column = list(map(itemgetter(key), rows))
+        if set(map(type, column)) != _LIST_ONLY or len(set(map(len, column))) != 1:
+            return None
+    entries = tuple(chain.from_iterable(chain.from_iterable(map(dict.values, rows))))
+    if not _INT_ONLY.issuperset(map(type, entries)):
+        return None
+    template = "{" + inner + ("," + inner).join(parts) + newline + "}"
+    return ("," + newline).join([template] * len(rows)) % entries
 
 
 # -- text rendering -------------------------------------------------------------

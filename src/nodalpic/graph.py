@@ -44,6 +44,14 @@ class Subcurve:
         if not self.vertices:
             raise ValueError("a subcurve needs at least one component")
 
+    @classmethod
+    def _sorted(cls, vertices: tuple[int, ...]) -> "Subcurve":
+        """The subcurve of a nonempty tuple of ints already sorted and free
+        of duplicates, taken as it is."""
+        subcurve = object.__new__(cls)
+        object.__setattr__(subcurve, "vertices", vertices)
+        return subcurve
+
 
 @dataclass(frozen=True)
 class NodeSet:
@@ -413,7 +421,9 @@ def _subcurve_table(graph: DualGraph, max_vertices: int) -> tuple[tuple[Subcurve
     mult = graph.multiplicity
     # p_a of each connected set met so far, keyed by its bitmask
     pa = {bit[i]: own[i] + 1 for i in range(n)}
-    table = [(Subcurve((i,)), own[i] + 1) for i in range(n)]
+    # combinations of range(n) are sorted and free of duplicates
+    subcurve = Subcurve._sorted
+    table = [(subcurve((i,)), own[i] + 1) for i in range(n)]
     for size in range(2, n):
         for combo, bits in zip(combinations(range(n), size), combinations(bit, size)):
             s = sum(bits)
@@ -430,7 +440,7 @@ def _subcurve_table(graph: DualGraph, max_vertices: int) -> tuple[tuple[Subcurve
                     continue
             # mult[j][j] is 0, so summing over all of S counts e(j, S - j)
             p = pa[s] = known + own[j] + sum(map(mult[j].__getitem__, combo))
-            table.append((Subcurve(combo), p))
+            table.append((subcurve(combo), p))
     return tuple(table)
 
 

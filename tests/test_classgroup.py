@@ -229,6 +229,10 @@ def test_class_listing_lists_each_class_once(total):
         ]
         assert listing == lifted
         assert class_representatives(dcg, total) == [rep for _, rep in lifted]
+        # the CLI reads the plain rows that class_listing wraps
+        assert classgroup.class_rows(dcg, total) == [
+            (list(label.residues), list(rep.entries)) for label, rep in listing
+        ]
 
 
 def test_semistabilize_vine_023():

@@ -2,6 +2,7 @@ import gzip
 import importlib
 import json
 import pkgutil
+import random
 from collections import OrderedDict
 from enum import IntEnum
 from pathlib import Path
@@ -11,15 +12,19 @@ import pytest
 import nodalpic
 from nodalpic import classgroup, graph, picard, stability
 from nodalpic.cli import (
+    _int_records,
     _json,
     build_classgroup,
     build_info,
+    build_neron,
     build_semistable,
     build_strata,
     main,
     parse_curve,
 )
 from nodalpic.graph import MEMO_SIZE
+
+from helpers import random_connected_graph
 
 VINE_TEXT = """\
 # two smooth components joined at three nodes
@@ -286,6 +291,61 @@ def test_json_writer_matches_json_dumps():
             _json({"a": [1, bad]})
 
 
+def _records(*rows):
+    return {"rows": list(rows), "after": [{"x": [1]}]}
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        _records({"label": [], "multidegree": [3, -1]}),
+        _records(*({"label": [i, 2 * i], "multidegree": [-i, 0, i]} for i in range(4))),
+        _records(*({"a": [], "b": [i]} for i in range(3))),
+        _records({"l": [-(2**70), 2**71 + 5]}, {"l": [-1, 0]}),
+        _records({'50% "off"': [5]}, {'50% "off"': [-5]}),
+    ],
+)
+def test_json_int_records_take_the_template(report):
+    assert _int_records(report["rows"], "\n    ") is not None
+    assert _json(report) == json.dumps(report, indent=2, ensure_ascii=False)
+    assert _json(report["rows"]) == json.dumps(report["rows"], indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        _records({"a": [1], "b": [2]}, {"b": [2], "a": [1]}),
+        _records({"a": [1], "b": [2]}, {"a": [1]}),
+        # four entries in each row, split 1 + 3 and 2 + 2
+        _records({"label": [1], "multidegree": [2, 3, 4]}, {"label": [1, 2], "multidegree": [3, 4]}),
+        _records({"a": [1, True]}, {"a": [1, 2]}),
+        _records({"a": [1, 2]}, {"a": [False, 2]}),
+        _records({"a": (1, 2)}, {"a": (3, 4)}),
+        _records({"a": [1, 2]}, {"a": (3, 4)}),
+        _records({"a": [1], "s": "x"}),
+        _records({"a": [1]}, {"a": "x"}, {"a": [2]}),
+        _records({"a": [1]}, [2]),
+        _records({}, {}),
+    ],
+)
+def test_json_other_records_fall_back(report):
+    assert _int_records(report["rows"], "\n    ") is None
+    assert _json(report) == json.dumps(report, indent=2, ensure_ascii=False)
+
+
+def test_json_records_reject_what_the_writer_rejects():
+    flag = IntEnum("Flag", "on").on
+    for rows in (
+        [{"a": [1, flag]}],
+        [{"a": [1]}, {"a": [flag]}],
+        [OrderedDict(a=[1]), OrderedDict(a=[2])],
+        [{"a": [1]}, OrderedDict(a=[2])],
+    ):
+        assert _int_records(rows, "\n") is None
+        with pytest.raises(TypeError):
+            _json({"rows": rows})
+
+
 # curve -> (degree g-1, a multidegree of total g-1, a dgeneral degree)
 LATTICE_CURVES = {
     "treelike": (3, "-4,5,2", 3),
@@ -321,6 +381,22 @@ def test_lattice_commands_golden(name, tag, argv, capsys):
     assert main([argv[0], curve, *argv[1:], "--json"]) == 0
     with gzip.open(GOLDEN / f"{name}.{tag}.json.gz", "rt", encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def test_lattice_reports_list_the_neron_fiber():
+    # build_neron and build_classgroup read classgroup.class_rows, not neron_fiber
+    rng = random.Random(14)
+    graphs = [parse_curve(str(GOLDEN / f"{name}.txt")) for name in LATTICE_CURVES]
+    graphs += [random_connected_graph(rng, max_vertices=6, max_edges=12) for _ in range(25)]
+    for g in graphs:
+        for degree in (-3, 0, 2):
+            fiber = picard.neron_fiber(g, degree)
+            rows = [(list(label.residues), list(rep.entries)) for label, rep in fiber.components]
+            sec = build_neron(g, degree)["neron"]
+            assert (sec["degree"], sec["count"]) == (fiber.degree, fiber.count)
+            assert [(c["label"], c["representative"]) for c in sec["components"]] == rows
+            reps = build_classgroup(g, degree)["classgroup"]["representatives"]
+            assert [(r["label"], r["multidegree"]) for r in reps] == rows
 
 
 @pytest.mark.parametrize("command", ["strata", "components", "theta", "semistable"])
