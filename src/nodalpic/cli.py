@@ -29,7 +29,7 @@ from .graph import (
     essential_connectivity,
     is_tree_like,
 )
-from .multidegree import Multidegree
+from .multidegree import Multidegree, fmt_md
 from .picard import DEFAULT_MAX_STRATA_EDGES
 
 SCHEMA_VERSION = 1
@@ -40,17 +40,16 @@ SCHEMA_VERSION = 1
 
 def parse_curve(source: str) -> DualGraph:
     """Load a curve file (path, or '-' for stdin); JSON is sniffed by a
-    leading brace."""
-    if source == "-":
-        text = sys.stdin.read()
-        origin = "<stdin>"
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        origin = source
-    stripped = text.lstrip()
+    leading brace, after one leading byte-order mark is dropped."""
+    origin = "<stdin>" if source == "-" else source
     try:
-        if stripped.startswith("{"):
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        text = text.removeprefix("\ufeff")
+        if text.lstrip().startswith("{"):
             vertices, edges = _parse_json(text)
         else:
             vertices, edges = _parse_text(text)
@@ -215,10 +214,9 @@ def build_semistabilize(graph: DualGraph, entries: Sequence[int], max_vertices: 
     )
 
 
-def _stratum_records(
-    graph: DualGraph, strata: Sequence[picard.Stratum], component_set
-) -> list[dict]:
-    # the strata of one node set are adjacent and share it: name its nodes once
+def _stratum_records(graph: DualGraph, strata: Sequence[picard.Stratum], top: int) -> list[dict]:
+    # the components are the strata of dimension ``top``; the strata of one
+    # node set are adjacent and share it: name its nodes once
     records = []
     nodes = None
     for s in strata:
@@ -231,7 +229,7 @@ def _stratum_records(
                 "node_names": names,
                 "multidegree": _md(s.multidegree),
                 "dim": s.dim,
-                "component": s in component_set,
+                "component": s.dim == top,
                 "description": picard.stratum_description(s, names),
             }
         )
@@ -240,13 +238,13 @@ def _stratum_records(
 
 def build_strata(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
     all_strata = picard.strata(graph, max_edges, max_vertices)
-    comps = set(picard.irreducible_components(graph, max_edges, max_vertices))
+    top = picard.irreducible_components(graph, max_edges, max_vertices)[0].dim
     return _report(
         "strata",
         graph,
         strata={
             "count": len(all_strata),
-            "strata": _stratum_records(graph, all_strata, comps),
+            "strata": _stratum_records(graph, all_strata, top),
         },
     )
 
@@ -254,7 +252,6 @@ def build_strata(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
 def build_components(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
     classification = picard.classify_type_g_minus_1(graph, max_edges, max_vertices)
     comps = picard.irreducible_components(graph, max_edges, max_vertices)
-    comp_set = set(comps)
     return _report(
         "components",
         graph,
@@ -264,7 +261,7 @@ def build_components(graph: DualGraph, max_edges: int, max_vertices: int) -> dic
             "type": classification.kind.value,
             "tree_like": classification.tree_like,
             "rule_validated": classification.component_rule_validated,
-            "strata": _stratum_records(graph, comps, comp_set),
+            "strata": _stratum_records(graph, comps, comps[0].dim),
         },
     )
 
@@ -468,12 +465,6 @@ def _int_records(rows, newline: str) -> str | None:
 # -- text rendering -------------------------------------------------------------
 
 
-def _fmt_md(entries: Sequence[int]) -> str:
-    if len(entries) == 1:
-        return str(entries[0])
-    return "(" + ",".join(str(e) for e in entries) + ")"
-
-
 def _kv_block(title: str, pairs: list[tuple[str, object]]) -> list[str]:
     width = max(len(k) for k, _ in pairs)
     lines = [title]
@@ -525,7 +516,7 @@ def render_text(report: dict) -> str:
                 ("order", sec["order"]),
             ],
         )
-        rows = [[_fmt_md(r["label"]), _fmt_md(r["multidegree"])] for r in sec["representatives"]]
+        rows = [[fmt_md(r["label"]), fmt_md(r["multidegree"])] for r in sec["representatives"]]
         lines.append(f"  representatives in total degree {sec['degree']}:")
         lines += _table(["label", "multidegree"], rows, indent="    ")
     elif command == "semistable":
@@ -546,19 +537,19 @@ def render_text(report: dict) -> str:
                 if cell is None:
                     cell = braced[id(w)] = "{" + ",".join(w) + "}"
                 cells.append(cell)
-            rows.append([_fmt_md(v["multidegree"]), v["status"], "; ".join(cells)])
+            rows.append([fmt_md(v["multidegree"]), v["status"], "; ".join(cells)])
         lines += _table(["multidegree", "status", "witnesses"], rows)
         lines.append(f"stable multidegrees: {len(sec['stable'])}")
         for d in sec["stable"]:
-            lines.append(f"  {_fmt_md(d)}")
+            lines.append(f"  {fmt_md(d)}")
     elif command == "semistabilize":
         sec = report["semistabilize"]
         lines += [""] + _kv_block(
             "semistabilization",
             [
-                ("input", _fmt_md(sec["input"])),
-                ("result", _fmt_md(sec["result"])),
-                ("firing vector", _fmt_md(sec["firing"])),
+                ("input", fmt_md(sec["input"])),
+                ("result", fmt_md(sec["result"])),
+                ("firing vector", fmt_md(sec["firing"])),
                 ("changed", "yes" if sec["changed"] else "no"),
                 ("result status", sec["status"]),
             ],
@@ -578,7 +569,7 @@ def render_text(report: dict) -> str:
         rows = [
             [
                 _nodes_label(s["nodes"]),
-                _fmt_md(s["multidegree"]),
+                fmt_md(s["multidegree"]),
                 str(s["dim"]),
                 "yes" if s["component"] else "no",
             ]
@@ -592,7 +583,7 @@ def render_text(report: dict) -> str:
         rows = [
             [
                 _nodes_label(t["nodes"]),
-                _fmt_md(t["multidegree"]),
+                fmt_md(t["multidegree"]),
                 "unknown" if t["dim"] is None else str(t["dim"]),
                 t["description"],
             ]
@@ -604,7 +595,7 @@ def render_text(report: dict) -> str:
         lines.append("")
         plural = "" if sec["count"] == 1 else "s"
         lines.append(f"Neron fiber in degree {sec['degree']}: {sec['count']} component{plural}")
-        rows = [[_fmt_md(r["label"]), _fmt_md(r["representative"])] for r in sec["components"]]
+        rows = [[fmt_md(r["label"]), fmt_md(r["representative"])] for r in sec["components"]]
         lines += _table(["label", "representative"], rows)
     elif command == "abel":
         sec = report["abel"]
@@ -617,13 +608,13 @@ def render_text(report: dict) -> str:
                     ("reason", sec["reason"]),
                     (
                         "offending",
-                        ", ".join(_fmt_md(d) for d in sec["offending"]) or "none",
+                        ", ".join(fmt_md(d) for d in sec["offending"]) or "none",
                     ),
                     ("profile all zero", "yes" if sec["all_zero"] else "no"),
                 ],
             )
             rows = [
-                [str(e["l"]), str(e["correction"]), _fmt_md(e["corrected"])]
+                [str(e["l"]), str(e["correction"]), fmt_md(e["corrected"])]
                 for e in sec["profile"]
             ]
             lines.append("  corrections:")

@@ -3,8 +3,8 @@
 Everything here works on small dense matrices given as lists of lists (or
 tuples of tuples) of arbitrary-precision integers.  Determinants use the
 fraction-free Bareiss scheme so intermediate values stay integral; the Smith
-normal form tracks the unimodular row/column transforms and their inverses,
-which the class-group canonicalization needs.
+normal form tracks the unimodular row/column transforms and the inverse of
+the row transform, which the class-group canonicalization needs.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
 class SmithNormalForm:
     """Decomposition left @ matrix @ right = diag(diagonal).
 
-    ``left``/``right`` are unimodular; ``left_inv``/``right_inv`` are their
-    inverses.  ``diagonal`` entries are non-negative and each divides the
+    ``left``/``right`` are unimodular and ``left_inv`` is the inverse of
+    ``left``.  ``diagonal`` entries are non-negative and each divides the
     next; trivial factors (ones) come first.
     """
 
@@ -82,7 +82,6 @@ class SmithNormalForm:
     left: tuple[tuple[int, ...], ...]
     left_inv: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
-    right_inv: tuple[tuple[int, ...], ...]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
@@ -92,7 +91,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
     u = identity(m)
     u_inv = identity(m)
     v = identity(n)
-    v_inv = identity(n)
 
     def row_swap(i, j):
         if i == j:
@@ -122,7 +120,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_add(i, j, c):
         # col i += c * col j
@@ -130,7 +127,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
             r[i] += c * r[j]
         for r in v:
             r[i] += c * r[j]
-        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def min_pivot(t):
         best = None
@@ -195,4 +191,4 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
 
     diag = tuple(a[i][i] for i in range(min(m, n)))
     freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return SmithNormalForm(diag, freeze(u), freeze(u_inv), freeze(v), freeze(v_inv))
+    return SmithNormalForm(diag, freeze(u), freeze(u_inv), freeze(v))

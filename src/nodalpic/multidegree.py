@@ -8,7 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+
+def fmt_md(entries: Sequence[int]) -> str:
+    """A multidegree's printed form: a lone entry bare, otherwise (a,b,...)."""
+    if len(entries) == 1:
+        return str(entries[0])
+    return "(" + ",".join(str(e) for e in entries) + ")"
 
 
 @dataclass(frozen=True, init=False)
@@ -51,6 +58,4 @@ class Multidegree:
         return Multidegree(-a for a in self.entries)
 
     def __str__(self) -> str:
-        if len(self.entries) == 1:
-            return str(self.entries[0])
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
+        return fmt_md(self.entries)

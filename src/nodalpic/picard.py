@@ -189,12 +189,18 @@ def irreducible_components(
     max_edges: int = DEFAULT_MAX_STRATA_EDGES,
     max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
 ) -> list[Stratum]:
-    """Maximal strata: the S = {} strata when the curve itself carries stable
-    multidegrees, otherwise the strata of maximal dimension."""
+    """Maximal strata: the strata of maximal dimension.
+
+    A stratum's dimension g - |S| + c(S) - 1 is the genus of the partial
+    normalization at S, the sum of its pieces' genera.  Whenever the curve
+    itself carries stable multidegrees, its S = {} strata are exactly these:
+    they have dimension g, and every other stratum has less.  Such a curve
+    has no bridge (see ``_strata``), so for S != {} each of the c(S) pieces
+    holds at least two of the 2|S| branches of the nodes in S (none would
+    leave the curve disconnected, one would make its node a bridge); hence
+    c(S) <= |S| and the dimension is at most g - 1.
+    """
     all_strata = strata(graph, max_edges, max_vertices)
-    top = [s for s in all_strata if not s.nodes.edges]
-    if top:
-        return top
     best = max(s.dim for s in all_strata)
     return [s for s in all_strata if s.dim == best]
 

@@ -119,8 +119,10 @@ def theta_strata(
     partial normalization, so the per-piece W-loci have dimension one less
     than the piece's Picard variety and the stratum dimension drops by
     exactly one; pieces of genus zero contribute nothing (their theta locus
-    is empty).  The pieces travel with the strata, one tuple per node set,
-    so each set's pieces are located in the curve's vertex order once.
+    is empty).  The stratum dimension is the sum of the pieces' genera, so
+    the theta dimension stays unknown exactly when that sum is 0.  The
+    pieces travel with the strata, one tuple per node set, so each set's
+    pieces are located in the curve's vertex order once.
     """
     position = {name: i for i, name in enumerate(graph.names)}
     out = []
@@ -129,9 +131,8 @@ def theta_strata(
         if stratum.pieces is not parts:
             parts = stratum.pieces
             indices = [[position[name] for name in piece.names] for piece in parts]
-        description, known = _describe(stratum, parts, indices)
-        dim = stratum.dim - 1 if known else None
-        out.append(ThetaStratum(base=stratum, description=description, dim=dim))
+        dim = stratum.dim - 1 if stratum.dim else None
+        out.append(ThetaStratum(stratum, _describe(stratum, indices), dim))
     return out
 
 
@@ -148,36 +149,32 @@ def _w_term(piece: DualGraph, local: Multidegree) -> str:
     return f"W_{local}({_format_piece(piece)})"
 
 
-def _describe(stratum: Stratum, parts: tuple[DualGraph, ...], indices: list[list[int]]):
+def _describe(stratum: Stratum, indices: list[list[int]]) -> str:
     """Descriptor of one stratum; ``indices[j]`` lists the positions, in the
-    curve's vertex order, of the vertices of ``parts[j]``."""
+    curve's vertex order, of the vertices of ``stratum.pieces[j]``."""
     entries = stratum.multidegree.entries
+    parts = stratum.pieces
     locals_ = [Multidegree([entries[i] for i in idx]) for idx in indices]
-    genera = [piece.genus for piece in parts]
 
     if len(parts) == 1:
         piece, local = parts[0], locals_[0]
         if not stratum.nodes.edges:
-            label = "X"
-        elif piece.gamma == 1 and piece.delta == 0:
-            return f"Θ({piece.vertices[0].name})", genera[0] >= 1
-        else:
-            nodes = ",".join(f"e{e}" for e in stratum.nodes.edges)
-            label = f"Xν({nodes})"
-        return f"W_{local}({label})", genera[0] >= 1
+            return f"W_{local}(X)"
+        if piece.gamma == 1 and piece.delta == 0:
+            return _w_term(piece, local)
+        nodes = ",".join(f"e{e}" for e in stratum.nodes.edges)
+        return f"W_{local}(Xν({nodes}))"
 
     terms = []
     for j, piece in enumerate(parts):
-        if genera[j] < 1:
+        if piece.genus < 1:
             continue
         factors = [_w_term(piece, locals_[j])]
         for k, other in enumerate(parts):
             if k != j:
                 factors.append(f"Pic^{locals_[k]}({_format_piece(other)})")
         terms.append(" × ".join(factors))
-    if not terms:
-        return "(empty)", False
-    return " ∪ ".join(terms), True
+    return " ∪ ".join(terms) or "(empty)"
 
 
 def w_components_vine_strictly_semistable(g1: int, g2: int, delta: int) -> WAnalysis:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from nodalpic import DualGraph, Multidegree
+from nodalpic.cli import parse_curve
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def triangle(genera=(0, 0, 0)) -> DualGraph:
@@ -48,6 +52,23 @@ def random_connected_graph(
     for _ in range(rng.randint(0, room) if room > 0 else 0):
         a, b = rng.randrange(n), rng.randrange(n)
         edges.append((f"v{a}", f"v{b}"))
+    return DualGraph.from_names(vertices, edges)
+
+
+def golden_curves() -> list[DualGraph]:
+    """The curve files under ``golden/``, in name order."""
+    return [parse_curve(str(p)) for p in sorted(GOLDEN.glob("*.txt")) if p.name.count(".") == 1]
+
+
+def bridged_multigraph(rng: random.Random) -> DualGraph:
+    """A random curve with a loop, a doubled edge to a new vertex w and a
+    bridge to a new vertex t, in shuffled edge order."""
+    g = random_connected_graph(rng, max_vertices=4, max_edges=5, max_genus=2)
+    vertices = [(v.name, v.genus) for v in g.vertices] + [("w", 0), ("t", rng.randint(0, 2))]
+    edges = [(g.names[u], g.names[v]) for u, v in g.edges]
+    edges += [(rng.choice(g.names),) * 2] + [(rng.choice(g.names), "w")] * 2
+    edges.append((rng.choice(g.names + ("w",)), "t"))
+    rng.shuffle(edges)
     return DualGraph.from_names(vertices, edges)
 
 

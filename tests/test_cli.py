@@ -223,6 +223,28 @@ def test_main_missing_file_exit_one(capsys):
     assert main(["info", "/no/such/file"]) == 1
 
 
+@pytest.mark.parametrize(
+    "name, text", [("vine.txt", VINE_TEXT), ("vine.json", VINE_JSON)], ids=["text", "json"]
+)
+def test_main_reads_a_file_with_a_byte_order_mark(tmp_path, capsys, name, text):
+    plain = tmp_path / name
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / f"bom-{name}"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["strata", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["strata", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_main_file_not_utf8_exit_one_naming_it(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"vertex C\xff 1\n")
+    assert main(["info", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"nodalpic: error: {path}:")
+
+
 def test_main_cap_exceeded_exit_two(vine_file, capsys):
     assert main(["strata", vine_file, "--max-edges", "1"]) == 2
 

@@ -1,6 +1,5 @@
 import random
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -27,11 +26,16 @@ from nodalpic import (
     vine_graph,
 )
 from nodalpic import graph as graph_module, picard
-from nodalpic.cli import parse_curve
 from nodalpic.errors import CapExceeded
 from nodalpic.picard import component_rule_validated
 
-from helpers import random_connected_graph, single_vertex, triangle
+from helpers import (
+    bridged_multigraph,
+    golden_curves,
+    random_connected_graph,
+    single_vertex,
+    triangle,
+)
 
 
 def test_strata_vine_112():
@@ -130,27 +134,14 @@ def test_strata_are_componentwise_stable_with_correct_dims():
 
 
 def _golden_and_random_curves():
-    golden = Path(__file__).parent / "golden"
-    curves = [parse_curve(str(p)) for p in sorted(golden.glob("*.txt")) if p.name.count(".") == 1]
     rng = random.Random(71)
-    return curves + [random_connected_graph(rng, max_vertices=5, max_edges=7) for _ in range(8)]
-
-
-def _bridged_multigraph(rng: random.Random) -> DualGraph:
-    """A random curve with a loop, a doubled edge to a new vertex w and a
-    bridge to a new vertex t, in shuffled edge order."""
-    g = random_connected_graph(rng, max_vertices=4, max_edges=5, max_genus=2)
-    vertices = [(v.name, v.genus) for v in g.vertices] + [("w", 0), ("t", rng.randint(0, 2))]
-    edges = [(g.names[u], g.names[v]) for u, v in g.edges]
-    edges += [(rng.choice(g.names),) * 2] + [(rng.choice(g.names), "w")] * 2
-    edges.append((rng.choice(g.names + ("w",)), "t"))
-    rng.shuffle(edges)
-    return DualGraph.from_names(vertices, edges)
+    curves = [random_connected_graph(rng, max_vertices=5, max_edges=7) for _ in range(8)]
+    return golden_curves() + curves
 
 
 def _bridged_curves():
     rng = random.Random(83)
-    curves = [_bridged_multigraph(rng) for _ in range(30)]
+    curves = [bridged_multigraph(rng) for _ in range(30)]
     assert all(bridges(g) and g.delta <= 9 for g in curves)
     return curves
 
@@ -237,6 +228,29 @@ def test_irreducible_components_vine_family():
         comps = irreducible_components(g)
         assert len(comps) == delta - 1
         assert len(comps) < complexity(g)
+
+
+def test_stratum_dim_is_the_genus_of_its_normalization():
+    for g in _golden_and_random_curves() + _bridged_curves():
+        for s in strata(g):
+            assert s.dim == sum(piece.genus for piece in s.pieces)
+
+
+def test_irreducible_components_are_the_strata_of_maximal_dimension():
+    curves = _golden_and_random_curves() + _bridged_curves()
+    assert any(not bridges(g) and g.gamma > 1 for g in curves)
+    assert any(g.gamma == 1 and g.delta > 0 for g in curves)
+    for g in curves:
+        all_strata = strata(g)
+        best = max(s.dim for s in all_strata)
+        assert irreducible_components(g) == [s for s in all_strata if s.dim == best]
+        # the S = {} rule the maximal dimension replaces: such strata exist
+        # exactly on bridgeless curves, and then they are the dimension-g ones
+        whole = [s for s in all_strata if not s.nodes.edges]
+        assert bool(whole) == (not bridges(g))
+        if whole:
+            assert whole == [s for s in all_strata if s.dim == g.genus]
+            assert irreducible_components(g) == whole
 
 
 def test_component_count_on_tree_like():

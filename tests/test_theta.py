@@ -17,7 +17,7 @@ from nodalpic import (
 from nodalpic import graph as graph_module, picard
 from nodalpic.stability import check_stability
 
-from helpers import random_connected_graph, single_vertex
+from helpers import bridged_multigraph, golden_curves, random_connected_graph, single_vertex
 
 
 def test_w_dimension_semistable_vine():
@@ -187,6 +187,21 @@ def test_theta_strata_reads_the_pieces_off_the_strata(monkeypatch):
     ts = theta_strata(g)
     assert calls == []
     assert [t.base for t in ts] == base
+
+
+def test_theta_dim_is_unknown_exactly_on_strata_of_dimension_zero():
+    rng = random.Random(41)
+    curves = golden_curves() + [bridged_multigraph(rng) for _ in range(30)]
+    unknown = 0
+    for g in curves:
+        for t in theta_strata(g):
+            assert (t.dim is None) == (t.base.dim == 0)
+            # the rule it replaces: the dimension is known when some piece has genus >= 1
+            assert (t.dim is None) == all(p.genus < 1 for p in t.base.pieces)
+            if t.dim is not None:
+                assert t.dim == t.base.dim - 1
+            unknown += t.dim is None
+    assert unknown
 
 
 def test_theta_stratum_empty_when_all_pieces_rational():
