@@ -258,11 +258,14 @@ def component_codegree(graph: DualGraph, vertex: str | int) -> int:
     return graph.nonloop_degree[i]
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def complexity(graph: DualGraph) -> int:
     """Number of spanning trees (loops ignored, parallel edges distinct).
 
     Computed as the determinant of a reduced Laplacian over exact integers,
-    so the result never overflows.
+    so the result never overflows.  Every report's curve block reads it, so
+    equal graphs share it through a memo of the last ``MEMO_SIZE`` curves:
+    the reports of one curve take one determinant.
     """
     n = graph.gamma
     if n == 1:
@@ -349,8 +352,14 @@ def essential_graph(graph: DualGraph) -> DualGraph:
     return DualGraph(tuple(new_vertices), new_edges)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def essential_connectivity(graph: DualGraph) -> int | float:
-    """Edge connectivity of the essential graph; infinity when it is a point."""
+    """Edge connectivity of the essential graph; infinity when it is a point.
+
+    Every report's curve block reads it and ``abel`` reads it again, so
+    equal graphs share it through a memo of the last ``MEMO_SIZE`` curves:
+    the reports of one curve run one minimum cut.
+    """
     ess = essential_graph(graph)
     if ess.gamma == 1:
         return math.inf

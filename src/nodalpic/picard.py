@@ -140,7 +140,9 @@ def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratu
     The pieces of different node sets often coincide, so each distinct
     piece is built and scanned once per call, in a dict keyed by its
     vertices and local edges; each row is reassembled by the piece's
-    original vertex indices.
+    original vertex indices.  A one-vertex piece has no proper subcurve, so
+    its one stable multidegree is its total degree g_P - 1 and it needs no
+    scan.
     """
     if graph.delta > max_edges:
         raise CapExceeded(
@@ -166,8 +168,12 @@ def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratu
                 entry = known.get((comp, edges))
                 if entry is None:
                     piece = DualGraph(tuple(graph.vertices[i] for i in comp), edges)
-                    bridged = piece.gamma > 1 and bridges(piece)
-                    rows = [] if bridged else enumerate_stable(piece, max_vertices)
+                    if piece.gamma == 1:
+                        rows = [Multidegree((piece.genus - 1,))]
+                    elif bridges(piece):
+                        rows = []
+                    else:
+                        rows = enumerate_stable(piece, max_vertices)
                     entry = known[comp, edges] = (piece, rows)
                 if not entry[1]:
                     break

@@ -528,6 +528,8 @@ def test_per_graph_memos_share_one_bound():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 memos[f"{info.name}.{name}"] = obj.cache_info().maxsize
     assert memos == {
+        "graph.complexity": MEMO_SIZE,
+        "graph.essential_connectivity": MEMO_SIZE,
         "graph._subcurve_table": MEMO_SIZE,
         "stability._scan": MEMO_SIZE,
         "classgroup.degree_class_group": MEMO_SIZE,
@@ -558,6 +560,18 @@ def test_strata_reports_of_one_curve_build_strata_once(vine_file, capsys):
         assert main([command, vine_file]) == 0
     info = picard._strata.cache_info()
     assert info.misses == 1 and info.hits >= 2
+
+
+def test_lattice_reports_of_one_curve_share_its_invariants(vine_file, capsys):
+    graph.essential_connectivity.cache_clear()
+    graph.complexity.cache_clear()
+    # every curve block reads both; abel reads the essential connectivity again
+    for command in (["info"], ["classgroup"], ["neron"], ["abel", "-d", "1"], ["semistabilize", "-d", "4,-2"]):
+        assert main([command[0], vine_file, *command[1:]]) == 0
+    info = graph.essential_connectivity.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    info = graph.complexity.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 def test_lattice_reports_of_one_curve_build_one_class_group(vine_file, capsys):

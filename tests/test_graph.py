@@ -142,6 +142,18 @@ def test_essential_connectivity_at_least_two():
         assert eps == math.inf or eps >= 2
 
 
+def test_equal_graphs_share_one_invariant_entry():
+    a = DualGraph.from_names([("P", 1), ("Q", 0), ("R", 2)], [("P", "Q")] * 3 + [("Q", "R")] * 2)
+    b = DualGraph.from_names([("P", 1), ("Q", 0), ("R", 2)], [("P", "Q")] * 3 + [("Q", "R")] * 2)
+    assert a is not b and a == b
+    for memo, value in ((complexity, 6), (essential_connectivity, 2)):
+        memo.cache_clear()
+        assert memo(a) == memo(b) == value
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+
 def test_essential_connectivity_matches_bipartition_scan():
     from itertools import combinations
 

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -16,6 +18,7 @@ from nodalpic import (
     complexity,
     counts,
     d_general_verdict,
+    enumerate_stable,
     enumerate_stable_disconnected,
     irreducible_components,
     is_tree_like,
@@ -25,8 +28,9 @@ from nodalpic import (
     strata,
     vine_graph,
 )
-from nodalpic import graph as graph_module, picard
+from nodalpic import graph as graph_module, picard, stability
 from nodalpic.errors import CapExceeded
+from nodalpic.oracle import stable_count
 from nodalpic.picard import component_rule_validated
 
 from helpers import (
@@ -209,6 +213,42 @@ def test_strata_match_independent_componentwise_scan():
             s.multidegree.entries for s in strata(g) if s.nodes == subset
         }
         assert got == expected
+
+
+def test_one_vertex_piece_row_is_its_total_degree():
+    # _strata gives a one-vertex piece this row without a scan
+    for genus in range(4):
+        for loops in range(4):
+            piece = single_vertex(genus, loops)
+            assert enumerate_stable(piece) == [Multidegree((piece.genus - 1,))]
+    stability._scan.cache_clear()
+    picard._strata.cache_clear()
+    assert strata(single_vertex(1, 2))[-1] == Stratum(NodeSet((0, 1)), Multidegree((0,)), 1)
+    assert stability._scan.cache_info().misses == 0
+
+
+def _two_vines_joined_by_a_bridge() -> DualGraph:
+    return DualGraph.from_names(
+        [(x, 1) for x in "ABCD"], [("A", "B")] * 6 + [("C", "D")] * 6 + [("B", "C")]
+    )
+
+
+@pytest.mark.parametrize(
+    "g, max_edges, total",
+    [(vine_graph(1, 1, 12), 12, 20482), (_two_vines_joined_by_a_bridge(), 13, 16900)],
+    ids=["vine_1_1_12", "two_vines_joined_by_a_bridge"],
+)
+def test_strata_counts_equal_the_closed_form(g, max_edges, total):
+    # past the oracle's range: at each S, the product of T_piece(0, 1)
+    expected = {}
+    for size in range(g.delta + 1):
+        for combo in combinations(range(g.delta), size):
+            count = math.prod(map(stable_count, partial_normalization(g, combo)))
+            if count:
+                expected[NodeSet(combo)] = count
+    got = Counter(s.nodes for s in strata(g, max_edges))
+    assert dict(got) == expected
+    assert sum(got.values()) == sum(expected.values()) == total
 
 
 def test_irreducible_components_vine():
