@@ -216,21 +216,25 @@ def build_semistabilize(graph: DualGraph, entries: Sequence[int], max_vertices: 
 
 def _stratum_records(graph: DualGraph, strata: Sequence[picard.Stratum], top: int) -> list[dict]:
     # the components are the strata of dimension ``top``; the strata of one
-    # node set are adjacent and share it: name its nodes once
+    # node set are adjacent and share it: name its nodes and frame its
+    # description once
     records = []
     nodes = None
     for s in strata:
         if s.nodes is not nodes:
             nodes = s.nodes
-            names = [picard.edge_name(graph, e) for e in nodes.edges]
+            edges = list(nodes.edges)
+            names = [picard.edge_name(graph, e) for e in edges]
+            before, after = picard.stratum_description_frame(nodes, names)
+        entries = s.multidegree.entries
         records.append(
             {
-                "nodes": list(nodes.edges),
+                "nodes": edges,
                 "node_names": names,
-                "multidegree": _md(s.multidegree),
+                "multidegree": list(entries),
                 "dim": s.dim,
                 "component": s.dim == top,
-                "description": picard.stratum_description(s, names),
+                "description": f"{before}{fmt_md(entries)}{after}",
             }
         )
     return records
@@ -268,23 +272,23 @@ def build_components(graph: DualGraph, max_edges: int, max_vertices: int) -> dic
 
 def build_theta(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
     strata = theta.theta_strata(graph, max_edges, max_vertices)
-    return _report(
-        "theta",
-        graph,
-        theta={
-            "count": len(strata),
-            "strata": [
-                {
-                    "nodes": list(t.base.nodes.edges),
-                    "multidegree": _md(t.base.multidegree),
-                    "base_dim": t.base.dim,
-                    "dim": t.dim,
-                    "description": t.description,
-                }
-                for t in strata
-            ],
-        },
-    )
+    # as in _stratum_records, the strata of one node set share its nodes list
+    records = []
+    nodes = None
+    for t in strata:
+        if t.base.nodes is not nodes:
+            nodes = t.base.nodes
+            edges = list(nodes.edges)
+        records.append(
+            {
+                "nodes": edges,
+                "multidegree": _md(t.base.multidegree),
+                "base_dim": t.base.dim,
+                "dim": t.dim,
+                "description": t.description,
+            }
+        )
+    return _report("theta", graph, theta={"count": len(strata), "strata": records})
 
 
 def build_neron(graph: DualGraph, degree: int) -> dict:
@@ -377,8 +381,12 @@ def build_dgeneral(graph: DualGraph, degree: int) -> dict:
 
 _encode_str = json.encoder.encode_basestring
 _INT_ONLY = {int}
+_STR_ONLY = {str}
+_BOOL_ONLY = {bool}
 _DICT_ONLY = {dict}
 _LIST_ONLY = {list}
+_BOOL_TEXT = {True: "true", False: "false"}
+_TEMPLATE_ROWS = 10
 
 
 def _json(value, newline: str = "\n") -> str:
@@ -387,10 +395,11 @@ def _json(value, newline: str = "\n") -> str:
     With an indent, ``json.dumps`` runs the pure-Python encoder.  Here plain
     dicts, lists and tuples are written directly, every string goes through
     the C ``encode_basestring``, a list of plain ints takes one join, and a
-    list of int-list records fills one %-template (``_int_records``).
-    Reports hold nothing else, so any other type (floats and subclasses
-    included) raises ``TypeError``.  ``newline`` is the line break plus the
-    indentation of ``value``.  Dict keys must be strings.
+    list of at least ``_TEMPLATE_ROWS`` records of one shape is written
+    column by column into one %-template (``_record_rows``).  Reports hold
+    nothing else, so any other type (floats and subclasses included) raises
+    ``TypeError``.  ``newline`` is the line break plus the indentation of
+    ``value``.  Dict keys must be strings.
     """
     kind = type(value)
     if kind is str:
@@ -418,48 +427,108 @@ def _json(value, newline: str = "\n") -> str:
         if set(map(type, value)) == _INT_ONLY:
             body = ("," + inner).join(map(int.__repr__, value))
         else:
-            body = _int_records(value, inner)
+            # below about ten rows the template's set-up costs more than it saves
+            body = _record_rows(value, inner) if len(value) >= _TEMPLATE_ROWS else None
             if body is None:
                 body = ("," + inner).join([_json(x, inner) for x in value])
         return f"[{inner}{body}{newline}]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _int_records(rows, newline: str) -> str | None:
-    """The rows of a list of int-list records, joined as ``_json`` joins
-    them, or None when the list does not qualify.
+def _record_rows(rows, newline: str) -> str | None:
+    """The rows of a list of records, joined as ``_json`` joins them, or
+    None when the rows differ in shape.
 
-    It qualifies when each row is a plain dict with the first row's keys in
-    the same order, each value is a list of plain ints (no bool, no IntEnum),
-    and each key's list has one length in all rows.  Then one row's text is
-    a template with the keys and indentation as text and a ``%d`` per entry,
-    and the rows are that template repeated, filled with every entry in
-    order by one ``%``.  A list whose first row does not qualify is given up
-    on that row, so lists of other records pay for one row's look.
+    The rows must be non-empty plain dicts with the first row's keys in the
+    same order.  One row's text is then a template with the keys and
+    indentation as text and one slot per value, and the rows are that
+    template repeated, filled by one ``%``.  Each column is handled whole:
+
+    - lists of one length keep a ``%d`` slot per entry when every entry is
+      a plain int; rows of such lists only, as in the class listings, are
+      checked in one pass;
+    - plain ints take a ``%d`` slot, strings their C-encoded text, and
+      bools ``true`` or ``false`` (``_column``);
+    - other lists of plain ints or of strings are joined per cell, once
+      per list object;
+    - anything else (``None`` among ints, nested values, subclasses) is
+      written by ``_json`` per cell, which raises on what it rejects.
     """
     first = rows[0]
     if type(first) is not dict or not first:
         return None
-    inner = newline + "  "
-    deeper = inner + "  "
-    parts = []
-    for key, entries in first.items():
-        if type(entries) is not list or not _INT_ONLY.issuperset(map(type, entries)):
-            return None
-        body = "[" + deeper + ("," + deeper).join(["%d"] * len(entries)) + inner + "]"
-        parts.append(_encode_str(key).replace("%", "%%") + ": " + (body if entries else "[]"))
     keys = tuple(first)
     if set(map(type, rows)) != _DICT_ONLY or not all(map(keys.__eq__, map(tuple, rows))):
         return None
-    for key in keys:
-        column = list(map(itemgetter(key), rows))
-        if set(map(type, column)) != _LIST_ONLY or len(set(map(len, column))) != 1:
-            return None
-    entries = tuple(chain.from_iterable(chain.from_iterable(map(dict.values, rows))))
-    if not _INT_ONLY.issuperset(map(type, entries)):
-        return None
+    inner = newline + "  "
+    deeper = inner + "  "
+    columns = [list(map(itemgetter(key), rows)) for key in keys]
+    kinds = [set(map(type, column)) for column in columns]
+    inline = {
+        j
+        for j, column in enumerate(columns)
+        if kinds[j] == _LIST_ONLY and len(set(map(len, column))) == 1
+    }
+    entries = None
+    if len(inline) == len(keys):
+        # rows of int lists only, as in the class listings: every entry in
+        # row order, checked in one pass
+        entries = tuple(chain.from_iterable(chain.from_iterable(map(dict.values, rows))))
+        if not _INT_ONLY.issuperset(map(type, entries)):
+            entries = None
+    if entries is None:
+        inline = {
+            j for j in inline if _INT_ONLY.issuperset(map(type, chain.from_iterable(columns[j])))
+        }
+    parts = []
+    slots = []
+    for j, (key, column, kind) in enumerate(zip(keys, columns, kinds)):
+        if j in inline:
+            width = len(first[key])
+            body = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]" if width else "[]"
+            if entries is None:
+                slots += zip(*column)
+        else:
+            body, values = _column(column, kind, inner)
+            slots.append(values)
+        parts.append(_encode_str(key).replace("%", "%%") + ": " + body)
+    if entries is None:
+        entries = tuple(chain.from_iterable(zip(*slots)))
     template = "{" + inner + ("," + inner).join(parts) + newline + "}"
     return ("," + newline).join([template] * len(rows)) % entries
+
+
+def _column(column: list, kind: set, inner: str) -> tuple[str, list]:
+    """The template slot of a ``_record_rows`` column without inline
+    entries, and the values that fill it; ``kind`` is the set of the
+    column's value types and ``inner`` the indentation of the record's keys."""
+    if kind == _INT_ONLY:
+        return "%d", column
+    if kind == _STR_ONLY:
+        # an escape only lengthens a string, so equal lengths mean none is
+        # needed: then the template holds the quotes, and no encoded copy of
+        # the column is kept
+        if sum(map(len, map(_encode_str, column))) == sum(map(len, column)) + 2 * len(column):
+            return '"%s"', column
+        return "%s", list(map(_encode_str, column))
+    if kind == _BOOL_ONLY:
+        return "%s", list(map(_BOOL_TEXT.__getitem__, column))
+    if kind == _LIST_ONLY:
+        # rows often share one list (the nodes of a node set): join each once
+        lists = {id(v): v for v in column}
+        entries = set(map(type, chain.from_iterable(lists.values())))
+        for plain, text in ((_INT_ONLY, int.__repr__), (_STR_ONLY, _encode_str)):
+            if plain.issuperset(entries):
+                deeper = inner + "  "
+                start = "[" + deeper
+                sep = "," + deeper
+                end = inner + "]"
+                joined = {
+                    k: f"{start}{sep.join(map(text, v))}{end}" if v else "[]"
+                    for k, v in lists.items()
+                }
+                return "%s", list(map(joined.__getitem__, map(id, column)))
+    return "%s", [_json(v, inner) for v in column]
 
 
 # -- text rendering -------------------------------------------------------------

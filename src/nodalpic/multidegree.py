@@ -15,7 +15,7 @@ def fmt_md(entries: Sequence[int]) -> str:
     """A multidegree's printed form: a lone entry bare, otherwise (a,b,...)."""
     if len(entries) == 1:
         return str(entries[0])
-    return "(" + ",".join(str(e) for e in entries) + ")"
+    return "(" + ",".join(map(str, entries)) + ")"
 
 
 @dataclass(frozen=True, init=False)

@@ -313,15 +313,17 @@ def specialize_two_component(graph: DualGraph, d: Multidegree) -> BoundaryPoint:
     )
 
 
-def stratum_description(stratum: Stratum, node_names: Sequence[str]) -> str:
-    """Human-readable account of a stratum as line bundles on a blow-up;
-    ``node_names`` holds the ``edge_name`` of each node in ``stratum.nodes``."""
-    d = stratum.multidegree
-    if not stratum.nodes.edges:
-        return f"line bundles of multidegree {d} on the curve itself"
+def stratum_description_frame(nodes: NodeSet, node_names: Sequence[str]) -> tuple[str, str]:
+    """Human-readable account of the strata at ``nodes`` as line bundles on a
+    blow-up, as the text before and after the multidegree: the stratum of
+    multidegree d reads ``before + fmt_md(d.entries) + after``.
+    ``node_names`` holds the ``edge_name`` of each node in ``nodes``."""
+    if not nodes.edges:
+        return "line bundles of multidegree ", " on the curve itself"
     return (
         f"line bundles on the blow-up at nodes [{', '.join(node_names)}] with degree 1 on "
-        f"each exceptional curve and multidegree {d} on the normalization"
+        "each exceptional curve and multidegree ",
+        " on the normalization",
     )
 
 

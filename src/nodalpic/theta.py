@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from .graph import (
     DEFAULT_MAX_SUBCURVE_VERTICES,
     DualGraph,
+    NodeSet,
     component_arithmetic_genus,
     component_codegree,
 )
-from .multidegree import Multidegree
+from .multidegree import Multidegree, fmt_md
 from .picard import Stratum, strata, DEFAULT_MAX_STRATA_EDGES
 from .stability import check_stability
 
@@ -122,7 +123,9 @@ def theta_strata(
     is empty).  The stratum dimension is the sum of the pieces' genera, so
     the theta dimension stays unknown exactly when that sum is 0.  The
     pieces travel with the strata, one tuple per node set, so each set's
-    pieces are located in the curve's vertex order once.
+    pieces are located in the curve's vertex order once, and its descriptor
+    template (``_template``) is built once: each stratum only fills in the
+    local multidegrees of the pieces.
     """
     position = {name: i for i, name in enumerate(graph.names)}
     out = []
@@ -130,51 +133,47 @@ def theta_strata(
     for stratum in strata(graph, max_edges, max_vertices):
         if stratum.pieces is not parts:
             parts = stratum.pieces
-            indices = [[position[name] for name in piece.names] for piece in parts]
+            template, takes_locals = _template(stratum.nodes, parts)
+            indices = [
+                [position[name] for name in piece.names] for piece in parts if takes_locals
+            ]
+        entries = stratum.multidegree.entries
+        locals_ = [fmt_md([entries[i] for i in idx]) for idx in indices]
         dim = stratum.dim - 1 if stratum.dim else None
-        out.append(ThetaStratum(stratum, _describe(stratum, indices), dim))
+        out.append(ThetaStratum(stratum, template.format(*locals_), dim))
     return out
+
+
+def _template(nodes: NodeSet, pieces: tuple[DualGraph, ...]) -> tuple[str, bool]:
+    """The descriptor of the strata at ``nodes`` as a ``str.format``
+    template, whose field ``j`` is the local multidegree on ``pieces[j]``,
+    and whether it has any field.  Braces in vertex names are escaped."""
+    names = [_format_piece(piece).replace("{", "{{").replace("}", "}}") for piece in pieces]
+    if len(pieces) == 1:
+        if not nodes.edges:
+            return "W_{0}(X)", True
+        if _smooth(pieces[0]):
+            return f"Θ({names[0]})", False
+        return "W_{0}(Xν(" + ",".join(f"e{e}" for e in nodes.edges) + "))", True
+    pics = [f"Pic^{{{k}}}({name})" for k, name in enumerate(names)]
+    terms = []
+    for j, piece in enumerate(pieces):
+        if piece.genus < 1:
+            continue
+        # a single smooth component has the classical theta divisor
+        w = f"Θ({names[j]})" if _smooth(piece) else f"W_{{{j}}}({names[j]})"
+        terms.append(" × ".join([w] + pics[:j] + pics[j + 1 :]))
+    return " ∪ ".join(terms) or "(empty)", bool(terms)
+
+
+def _smooth(piece: DualGraph) -> bool:
+    return piece.gamma == 1 and piece.delta == 0
 
 
 def _format_piece(piece: DualGraph) -> str:
     if piece.gamma == 1:
         return piece.vertices[0].name
     return "∪".join(piece.names)
-
-
-def _w_term(piece: DualGraph, local: Multidegree) -> str:
-    # a single smooth component has the classical theta divisor
-    if piece.gamma == 1 and piece.delta == 0:
-        return f"Θ({piece.vertices[0].name})"
-    return f"W_{local}({_format_piece(piece)})"
-
-
-def _describe(stratum: Stratum, indices: list[list[int]]) -> str:
-    """Descriptor of one stratum; ``indices[j]`` lists the positions, in the
-    curve's vertex order, of the vertices of ``stratum.pieces[j]``."""
-    entries = stratum.multidegree.entries
-    parts = stratum.pieces
-    locals_ = [Multidegree([entries[i] for i in idx]) for idx in indices]
-
-    if len(parts) == 1:
-        piece, local = parts[0], locals_[0]
-        if not stratum.nodes.edges:
-            return f"W_{local}(X)"
-        if piece.gamma == 1 and piece.delta == 0:
-            return _w_term(piece, local)
-        nodes = ",".join(f"e{e}" for e in stratum.nodes.edges)
-        return f"W_{local}(Xν({nodes}))"
-
-    terms = []
-    for j, piece in enumerate(parts):
-        if piece.genus < 1:
-            continue
-        factors = [_w_term(piece, locals_[j])]
-        for k, other in enumerate(parts):
-            if k != j:
-                factors.append(f"Pic^{locals_[k]}({_format_piece(other)})")
-        terms.append(" × ".join(factors))
-    return " ∪ ".join(terms) or "(empty)"
 
 
 def w_components_vine_strictly_semistable(g1: int, g2: int, delta: int) -> WAnalysis:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from nodalpic import DualGraph, Multidegree
+from nodalpic import DualGraph, Multidegree, Stratum, bridges
 from nodalpic.cli import parse_curve
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,6 +72,14 @@ def bridged_multigraph(rng: random.Random) -> DualGraph:
     return DualGraph.from_names(vertices, edges)
 
 
+def bridged_curves() -> list[DualGraph]:
+    """Thirty seeded ``bridged_multigraph`` curves, each with at most 9 nodes."""
+    rng = random.Random(83)
+    curves = [bridged_multigraph(rng) for _ in range(30)]
+    assert all(bridges(g) and g.delta <= 9 for g in curves)
+    return curves
+
+
 def permuted(graph: DualGraph, new_to_old: list[int]) -> DualGraph:
     """Same curve with vertices listed in a different order."""
     vertices = [
@@ -91,3 +99,59 @@ def random_multidegree(rng: random.Random, length: int, total: int, spread=4) ->
     entries = [rng.randint(-spread, spread) for _ in range(length - 1)]
     entries.append(total - sum(entries))
     return Multidegree(entries)
+
+
+# -- reference descriptions: each stratum formatted on its own -----------------
+
+
+def reference_stratum_description(stratum: Stratum, node_names) -> str:
+    """The strata report's description of one stratum; ``node_names`` holds
+    the ``edge_name`` of each node in ``stratum.nodes``."""
+    d = stratum.multidegree
+    if not stratum.nodes.edges:
+        return f"line bundles of multidegree {d} on the curve itself"
+    return (
+        f"line bundles on the blow-up at nodes [{', '.join(node_names)}] with degree 1 on "
+        f"each exceptional curve and multidegree {d} on the normalization"
+    )
+
+
+def _format_piece(piece: DualGraph) -> str:
+    if piece.gamma == 1:
+        return piece.vertices[0].name
+    return "∪".join(piece.names)
+
+
+def _w_term(piece: DualGraph, local: Multidegree) -> str:
+    # a single smooth component has the classical theta divisor
+    if piece.gamma == 1 and piece.delta == 0:
+        return f"Θ({piece.vertices[0].name})"
+    return f"W_{local}({_format_piece(piece)})"
+
+
+def reference_theta_description(graph: DualGraph, stratum: Stratum) -> str:
+    """The theta descriptor of one stratum of ``graph``."""
+    position = {name: i for i, name in enumerate(graph.names)}
+    entries = stratum.multidegree.entries
+    parts = stratum.pieces
+    locals_ = [Multidegree([entries[position[name]] for name in p.names]) for p in parts]
+
+    if len(parts) == 1:
+        piece, local = parts[0], locals_[0]
+        if not stratum.nodes.edges:
+            return f"W_{local}(X)"
+        if piece.gamma == 1 and piece.delta == 0:
+            return _w_term(piece, local)
+        nodes = ",".join(f"e{e}" for e in stratum.nodes.edges)
+        return f"W_{local}(Xν({nodes}))"
+
+    terms = []
+    for j, piece in enumerate(parts):
+        if piece.genus < 1:
+            continue
+        factors = [_w_term(piece, locals_[j])]
+        for k, other in enumerate(parts):
+            if k != j:
+                factors.append(f"Pic^{locals_[k]}({_format_piece(other)})")
+        terms.append(" × ".join(factors))
+    return " ∪ ".join(terms) or "(empty)"

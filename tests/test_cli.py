@@ -12,19 +12,29 @@ import pytest
 import nodalpic
 from nodalpic import classgroup, graph, picard, stability
 from nodalpic.cli import (
-    _int_records,
+    _TEMPLATE_ROWS,
     _json,
+    _record_rows,
     build_classgroup,
+    build_components,
     build_info,
     build_neron,
     build_semistable,
     build_strata,
+    build_theta,
     main,
     parse_curve,
 )
-from nodalpic.graph import MEMO_SIZE
+from nodalpic.graph import DEFAULT_MAX_SUBCURVE_VERTICES, MEMO_SIZE
+from nodalpic.picard import DEFAULT_MAX_STRATA_EDGES
 
-from helpers import random_connected_graph
+from helpers import (
+    bridged_curves,
+    golden_curves,
+    random_connected_graph,
+    reference_stratum_description,
+    reference_theta_description,
+)
 
 VINE_TEXT = """\
 # two smooth components joined at three nodes
@@ -317,6 +327,16 @@ def _records(*rows):
     return {"rows": list(rows), "after": [{"x": [1]}]}
 
 
+def _templated(rows):
+    """A top-level list of ``rows`` written through the template, whatever its length."""
+    return "[\n  " + _record_rows(rows, "\n  ") + "\n]"
+
+
+def _sharing_records():
+    n, s = [4, 5], ["a", "b"]
+    return _records({"n": n, "s": s}, {"n": n, "s": s}, {"n": [4, 5], "s": ["a", "b"]}, {"n": [6], "s": s})
+
+
 @pytest.mark.parametrize(
     "report",
     [
@@ -325,19 +345,59 @@ def _records(*rows):
         _records(*({"a": [], "b": [i]} for i in range(3))),
         _records({"l": [-(2**70), 2**71 + 5]}, {"l": [-1, 0]}),
         _records({'50% "off"': [5]}, {'50% "off"': [-5]}),
+        # str, bool, None-or-int and int columns, as in strata and theta rows
+        _records(
+            {"s": 'Θ "q" 100%', "flag": True, "dim": None, "n": -(2**70)},
+            {"s": "{x} ∪ W_(0,1)", "flag": False, "dim": 3, "n": 0},
+        ),
+        # int lists of varying length, and str lists empty or not, in one column each
+        _records(
+            {"nodes": [], "names": [], "md": [1, 2]},
+            {"nodes": [0, 2], "names": ["e0:a-b", '"%{"'], "md": [-1, 0]},
+            {"nodes": [5], "names": ["Θ"], "md": [0, 0]},
+        ),
+        # keys with %, quotes, braces and Θ; a %-looking string value
+        _records({'%d "k"': "%s", "{Θ}": [1, 2], "%%": 0}, {'%d "k"': "%(x)s", "{Θ}": [3, 4], "%%": 1}),
+        # a nested list-of-dict value
+        _records(
+            {"sub": [{"a": [1], "b": "x"}, {"a": [2], "b": "y"}], "n": 1},
+            {"sub": [], "n": 2},
+        ),
+        # one row
+        _records({"s": "only", "l": [1, 2, 3], "b": False, "t": None}),
+        # rows that share list objects, beside a row with equal lists of its own
+        _sharing_records(),
+        # int lists of one length beside a str-list column of one length
+        _records({"md": [1, 2], "names": ["a", "b"]}, {"md": [3, 4], "names": ["c", "d"]}),
     ],
 )
 def test_json_int_records_take_the_template(report):
-    assert _int_records(report["rows"], "\n    ") is not None
+    # every row set here is plain dicts of one key order, so the template takes
+    # it; _json only hands it lists of at least _TEMPLATE_ROWS rows
+    assert _record_rows(report["rows"], "\n    ") is not None
     assert _json(report) == json.dumps(report, indent=2, ensure_ascii=False)
     assert _json(report["rows"]) == json.dumps(report["rows"], indent=2, ensure_ascii=False)
+    assert _templated(report["rows"]) == json.dumps(report["rows"], indent=2, ensure_ascii=False)
+    long = report["rows"] * _TEMPLATE_ROWS
+    assert _json(long) == json.dumps(long, indent=2, ensure_ascii=False)
+
+
+# rows that differ in keys, key order or type are written element by element
+_MIXED_ROWS = [
+    _records({"a": [1], "b": [2]}, {"b": [2], "a": [1]}),
+    _records({"a": [1], "b": [2]}, {"a": [1]}),
+    _records({"a": [1]}, [2]),
+    _records({}, {}),
+]
 
 
 @pytest.mark.parametrize(
     "report",
     [
-        _records({"a": [1], "b": [2]}, {"b": [2], "a": [1]}),
-        _records({"a": [1], "b": [2]}, {"a": [1]}),
+        _MIXED_ROWS[0],
+        _MIXED_ROWS[1],
+        # the other cases keep one row shape but mix what a column holds, so
+        # the template takes them and writes those columns cell by cell:
         # four entries in each row, split 1 + 3 and 2 + 2
         _records({"label": [1], "multidegree": [2, 3, 4]}, {"label": [1, 2], "multidegree": [3, 4]}),
         _records({"a": [1, True]}, {"a": [1, 2]}),
@@ -346,26 +406,76 @@ def test_json_int_records_take_the_template(report):
         _records({"a": [1, 2]}, {"a": (3, 4)}),
         _records({"a": [1], "s": "x"}),
         _records({"a": [1]}, {"a": "x"}, {"a": [2]}),
-        _records({"a": [1]}, [2]),
-        _records({}, {}),
+        _MIXED_ROWS[2],
+        _MIXED_ROWS[3],
     ],
 )
 def test_json_other_records_fall_back(report):
-    assert _int_records(report["rows"], "\n    ") is None
+    body = _record_rows(report["rows"], "\n    ")
+    assert (body is None) == (report in _MIXED_ROWS)
     assert _json(report) == json.dumps(report, indent=2, ensure_ascii=False)
+    if body is not None:
+        assert _templated(report["rows"]) == json.dumps(report["rows"], indent=2, ensure_ascii=False)
+    long = report["rows"] * _TEMPLATE_ROWS
+    assert _json(long) == json.dumps(long, indent=2, ensure_ascii=False)
 
 
 def test_json_records_reject_what_the_writer_rejects():
     flag = IntEnum("Flag", "on").on
+    # rows of one shape: the column that holds the bad value is written per cell
     for rows in (
         [{"a": [1, flag]}],
         [{"a": [1]}, {"a": [flag]}],
+        [{"a": flag}, {"a": 2}],
+        [{"a": [1], "b": 2.5}],
+        [{"a": "x"}, {"a": {"b": [1.5]}}],
+    ):
+        with pytest.raises(TypeError):
+            _record_rows(rows, "\n")
+        with pytest.raises(TypeError):
+            _json({"rows": rows})
+    # rows that are not plain dicts: element by element
+    for rows in (
         [OrderedDict(a=[1]), OrderedDict(a=[2])],
         [{"a": [1]}, OrderedDict(a=[2])],
     ):
-        assert _int_records(rows, "\n") is None
+        assert _record_rows(rows, "\n") is None
         with pytest.raises(TypeError):
             _json({"rows": rows})
+
+
+def test_descriptions_equal_the_per_stratum_reference():
+    # the reports are json.dumps byte for byte too, through the template on
+    # the longer lists; names with format fields, %-specifiers and the piece
+    # separator
+    odd = nodalpic.DualGraph.from_names(
+        [("{0}", 1), ("b%s", 1), ("c∪d", 0), ("}{", 2), ("%", 0)],
+        [("{0}", "b%s"), ("{0}", "b%s"), ("b%s", "c∪d"), ("c∪d", "}{")]
+        + [("c∪d", "}{"), ("}{", "}{"), ("}{", "%"), ("%", "{0}")],
+    )
+    caps = (DEFAULT_MAX_STRATA_EDGES, DEFAULT_MAX_SUBCURVE_VERTICES)
+    for g in golden_curves() + bridged_curves() + [odd]:
+        base = picard.strata(g, *caps)
+        reports = [build(g, *caps) for build in (build_strata, build_components, build_theta)]
+        for report in reports:
+            assert _json(report) == json.dumps(report, indent=2, ensure_ascii=False)
+        rows = reports[0]["strata"]["strata"]
+        assert len(rows) == len(base)
+        for s, row in zip(base, rows):
+            names = [picard.edge_name(g, e) for e in s.nodes.edges]
+            assert row["node_names"] == names
+            assert row["description"] == reference_stratum_description(s, names)
+        top = max(s.dim for s in base)
+        comps = reports[1]["components"]["strata"]
+        assert comps == [row for row in rows if row["dim"] == top]
+        theta_rows = reports[2]["theta"]["strata"]
+        assert len(theta_rows) == len(base)
+        for s, row in zip(base, theta_rows):
+            assert row["description"] == reference_theta_description(g, s)
+    # the odd names reach Θ, W and Pic terms, of joined and of looped pieces
+    text = "\n".join(row["description"] for row in theta_rows + rows)
+    for term in ("Θ({0}) × Pic^0(b%s)", "W_(0,2)(c∪d∪}{) × Pic^0({0})", "W_2(}{)", "e7:{0}-%]"):
+        assert term in text
 
 
 # curve -> (degree g-1, a multidegree of total g-1, a dgeneral degree)

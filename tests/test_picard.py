@@ -34,7 +34,7 @@ from nodalpic.oracle import stable_count
 from nodalpic.picard import component_rule_validated
 
 from helpers import (
-    bridged_multigraph,
+    bridged_curves,
     golden_curves,
     random_connected_graph,
     single_vertex,
@@ -143,13 +143,6 @@ def _golden_and_random_curves():
     return golden_curves() + curves
 
 
-def _bridged_curves():
-    rng = random.Random(83)
-    curves = [bridged_multigraph(rng) for _ in range(30)]
-    assert all(bridges(g) and g.delta <= 9 for g in curves)
-    return curves
-
-
 def _strata_over_every_node_set(g: DualGraph) -> list[Stratum]:
     out = []
     for size in range(g.delta + 1):
@@ -163,7 +156,7 @@ def _strata_over_every_node_set(g: DualGraph) -> list[Stratum]:
 
 
 def test_strata_equal_the_walk_over_every_node_set():
-    for g in _golden_and_random_curves() + _bridged_curves():
+    for g in _golden_and_random_curves() + bridged_curves():
         got = strata(g)
         expected = _strata_over_every_node_set(g)
         assert got == expected
@@ -172,7 +165,7 @@ def test_strata_equal_the_walk_over_every_node_set():
 
 
 def test_strata_carry_the_pieces_of_their_node_set():
-    for g in _golden_and_random_curves() + _bridged_curves():
+    for g in _golden_and_random_curves() + bridged_curves():
         shared = {}
         pieces = {}
         for s in strata(g):
@@ -271,13 +264,13 @@ def test_irreducible_components_vine_family():
 
 
 def test_stratum_dim_is_the_genus_of_its_normalization():
-    for g in _golden_and_random_curves() + _bridged_curves():
+    for g in _golden_and_random_curves() + bridged_curves():
         for s in strata(g):
             assert s.dim == sum(piece.genus for piece in s.pieces)
 
 
 def test_irreducible_components_are_the_strata_of_maximal_dimension():
-    curves = _golden_and_random_curves() + _bridged_curves()
+    curves = _golden_and_random_curves() + bridged_curves()
     assert any(not bridges(g) and g.gamma > 1 for g in curves)
     assert any(g.gamma == 1 and g.delta > 0 for g in curves)
     for g in curves:
