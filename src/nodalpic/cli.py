@@ -272,23 +272,23 @@ def build_components(graph: DualGraph, max_edges: int, max_vertices: int) -> dic
 
 def build_theta(graph: DualGraph, max_edges: int, max_vertices: int) -> dict:
     strata = theta.theta_strata(graph, max_edges, max_vertices)
-    # as in _stratum_records, the strata of one node set share its nodes list
-    records = []
-    nodes = None
-    for t in strata:
-        if t.base.nodes is not nodes:
-            nodes = t.base.nodes
-            edges = list(nodes.edges)
-        records.append(
-            {
-                "nodes": edges,
-                "multidegree": _md(t.base.multidegree),
-                "base_dim": t.base.dim,
-                "dim": t.dim,
-                "description": t.description,
-            }
-        )
-    return _report("theta", graph, theta={"count": len(strata), "strata": records})
+    return _report(
+        "theta",
+        graph,
+        theta={
+            "count": len(strata),
+            "strata": [
+                {
+                    "nodes": list(t.base.nodes.edges),
+                    "multidegree": _md(t.base.multidegree),
+                    "base_dim": t.base.dim,
+                    "dim": t.dim,
+                    "description": t.description,
+                }
+                for t in strata
+            ],
+        },
+    )
 
 
 def build_neron(graph: DualGraph, degree: int) -> dict:
@@ -449,8 +449,7 @@ def _record_rows(rows, newline: str) -> str | None:
       checked in one pass;
     - plain ints take a ``%d`` slot, strings their C-encoded text, and
       bools ``true`` or ``false`` (``_column``);
-    - other lists of plain ints or of strings are joined per cell, once
-      per list object;
+    - other lists of plain ints or of strings are joined per cell;
     - anything else (``None`` among ints, nested values, subclasses) is
       written by ``_json`` per cell, which raises on what it rejects.
     """
@@ -485,7 +484,9 @@ def _record_rows(rows, newline: str) -> str | None:
     for j, (key, column, kind) in enumerate(zip(keys, columns, kinds)):
         if j in inline:
             width = len(first[key])
-            body = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]" if width else "[]"
+            body = "[]"
+            if width:
+                body = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
             if entries is None:
                 slots += zip(*column)
         else:
@@ -505,29 +506,19 @@ def _column(column: list, kind: set, inner: str) -> tuple[str, list]:
     if kind == _INT_ONLY:
         return "%d", column
     if kind == _STR_ONLY:
-        # an escape only lengthens a string, so equal lengths mean none is
-        # needed: then the template holds the quotes, and no encoded copy of
-        # the column is kept
-        if sum(map(len, map(_encode_str, column))) == sum(map(len, column)) + 2 * len(column):
-            return '"%s"', column
         return "%s", list(map(_encode_str, column))
     if kind == _BOOL_ONLY:
         return "%s", list(map(_BOOL_TEXT.__getitem__, column))
     if kind == _LIST_ONLY:
-        # rows often share one list (the nodes of a node set): join each once
-        lists = {id(v): v for v in column}
-        entries = set(map(type, chain.from_iterable(lists.values())))
+        entries = set(map(type, chain.from_iterable(column)))
         for plain, text in ((_INT_ONLY, int.__repr__), (_STR_ONLY, _encode_str)):
             if plain.issuperset(entries):
                 deeper = inner + "  "
                 start = "[" + deeper
                 sep = "," + deeper
                 end = inner + "]"
-                joined = {
-                    k: f"{start}{sep.join(map(text, v))}{end}" if v else "[]"
-                    for k, v in lists.items()
-                }
-                return "%s", list(map(joined.__getitem__, map(id, column)))
+                cells = [f"{start}{sep.join(map(text, v))}{end}" if v else "[]" for v in column]
+                return "%s", cells
     return "%s", [_json(v, inner) for v in column]
 
 

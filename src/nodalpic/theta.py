@@ -129,11 +129,12 @@ def theta_strata(
     """
     position = {name: i for i, name in enumerate(graph.names)}
     out = []
-    parts = None
+    nodes = parts = None
     for stratum in strata(graph, max_edges, max_vertices):
-        if stratum.pieces is not parts:
-            parts = stratum.pieces
-            template, takes_locals = _template(stratum.nodes, parts)
+        # the template reads both the node set and its pieces
+        if stratum.nodes is not nodes or stratum.pieces is not parts:
+            nodes, parts = stratum.nodes, stratum.pieces
+            template, takes_locals = _template(nodes, parts)
             indices = [
                 [position[name] for name in piece.names] for piece in parts if takes_locals
             ]
