@@ -525,185 +525,140 @@ def _column(column: list, kind: set, inner: str) -> tuple[str, list]:
 # -- text rendering -------------------------------------------------------------
 
 
-def _kv_block(title: str, pairs: list[tuple[str, object]]) -> list[str]:
+def _kv_block(title: str, *pairs: tuple[str, object]) -> list[str]:
     width = max(len(k) for k, _ in pairs)
-    lines = [title]
-    for k, v in pairs:
-        lines.append(f"  {k.ljust(width)}  {v}")
-    return lines
+    return [title] + [f"  {k.ljust(width)}  {v}" for k, v in pairs]
 
 
-def _table(headers: list[str], rows: list[list[str]], indent: str = "  ") -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [indent + "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append(indent + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return lines
+def _table(records: Sequence[dict], columns: Sequence[tuple], indent: str = "  ") -> list[str]:
+    """A header line and a line per record, one ``(header, key, format)``
+    per column: each column is formatted whole and padded to its widest cell
+    by one %-template, and every line is right-stripped after the indent."""
+    cells = [[header, *map(fmt, map(itemgetter(key), records))] for header, key, fmt in columns]
+    template = "  ".join([f"%-{max(map(len, column))}s" for column in cells])
+    return [indent + (template % row).rstrip() for row in zip(*cells)]
 
 
-def _curve_block(report: dict) -> list[str]:
-    c = report["curve"]
-    return _kv_block(
-        "curve",
-        [
-            ("components (vertices)", c["components"]),
-            ("nodes (edges)", c["nodes"]),
-            ("first Betti number", c["first_betti"]),
-            ("genus", c["genus"]),
-            ("complexity (spanning trees)", c["complexity"]),
-            ("tree-like", "yes" if c["tree_like"] else "no"),
-            ("essential connectivity", c["essential_connectivity"]),
-        ],
-    )
+_yes_no = {True: "yes", False: "no"}.__getitem__
 
 
 def _nodes_label(nodes: list[int]) -> str:
     return "{" + ",".join(f"e{e}" for e in nodes) + "}"
 
 
+def _dim(dim: int | None) -> str:
+    return "unknown" if dim is None else str(dim)
+
+
+def _witnesses(witnesses: list[list[str]]) -> str:
+    return "; ".join(["{" + ",".join(names) + "}" for names in witnesses])
+
+
+_S = ("S", "nodes", _nodes_label)
+_MULTIDEGREE = ("multidegree", "multidegree", fmt_md)
+_DIM = ("dim", "dim", _dim)
+_LABEL = ("label", "label", fmt_md)
+_STRATA_COLUMNS = (_S, _MULTIDEGREE, _DIM, ("component", "component", _yes_no))
+
+
+def _curve_block(report: dict) -> list[str]:
+    c = report["curve"]
+    return _kv_block(
+        "curve",
+        ("components (vertices)", c["components"]),
+        ("nodes (edges)", c["nodes"]),
+        ("first Betti number", c["first_betti"]),
+        ("genus", c["genus"]),
+        ("complexity (spanning trees)", c["complexity"]),
+        ("tree-like", _yes_no(c["tree_like"])),
+        ("essential connectivity", c["essential_connectivity"]),
+    )
+
+
 def render_text(report: dict) -> str:
+    """The aligned text form of a report: the curve block, then the section
+    named after the command (``info`` has none).  Each table is one pass per
+    column spec into one %-template, with every line right-stripped."""
     command = report["command"]
     lines = _curve_block(report)
+    sec = report.get(command)
+    if sec is not None:
+        lines.append("")
     if command == "classgroup":
-        sec = report["classgroup"]
-        lines += [""] + _kv_block(
+        lines += _kv_block(
             "degree class group",
-            [
-                ("invariant factors", sec["invariant_factors"]),
-                ("order", sec["order"]),
-            ],
+            ("invariant factors", sec["invariant_factors"]),
+            ("order", sec["order"]),
         )
-        rows = [[fmt_md(r["label"]), fmt_md(r["multidegree"])] for r in sec["representatives"]]
         lines.append(f"  representatives in total degree {sec['degree']}:")
-        lines += _table(["label", "multidegree"], rows, indent="    ")
+        lines += _table(sec["representatives"], (_LABEL, _MULTIDEGREE), "    ")
     elif command == "semistable":
-        sec = report["semistable"]
-        lines.append("")
-        lines.append(
-            f"semistable multidegrees in total degree {sec['total_degree']}: "
-            f"{len(sec['semistable'])}"
-        )
-        # build_semistable shares one name list per subcurve, so each is
-        # formatted once, keyed by the list's identity
-        braced: dict[int, str] = {}
-        rows = []
-        for v in sec["verdicts"]:
-            cells = []
-            for w in v["witnesses"]:
-                cell = braced.get(id(w))
-                if cell is None:
-                    cell = braced[id(w)] = "{" + ",".join(w) + "}"
-                cells.append(cell)
-            rows.append([fmt_md(v["multidegree"]), v["status"], "; ".join(cells)])
-        lines += _table(["multidegree", "status", "witnesses"], rows)
+        total = sec["total_degree"]
+        lines.append(f"semistable multidegrees in total degree {total}: {len(sec['semistable'])}")
+        witnesses = ("witnesses", "witnesses", _witnesses)
+        lines += _table(sec["verdicts"], (_MULTIDEGREE, ("status", "status", str), witnesses))
         lines.append(f"stable multidegrees: {len(sec['stable'])}")
-        for d in sec["stable"]:
-            lines.append(f"  {fmt_md(d)}")
+        lines += [f"  {fmt_md(d)}" for d in sec["stable"]]
     elif command == "semistabilize":
-        sec = report["semistabilize"]
-        lines += [""] + _kv_block(
+        lines += _kv_block(
             "semistabilization",
-            [
-                ("input", fmt_md(sec["input"])),
-                ("result", fmt_md(sec["result"])),
-                ("firing vector", fmt_md(sec["firing"])),
-                ("changed", "yes" if sec["changed"] else "no"),
-                ("result status", sec["status"]),
-            ],
+            ("input", fmt_md(sec["input"])),
+            ("result", fmt_md(sec["result"])),
+            ("firing vector", fmt_md(sec["firing"])),
+            ("changed", _yes_no(sec["changed"])),
+            ("result status", sec["status"]),
         )
-    elif command in ("strata", "components"):
-        sec = report[command]
-        lines.append("")
-        if command == "strata":
-            lines.append(f"strata: {sec['count']}")
-        else:
-            lines.append(
-                f"irreducible components: {sec['count']} "
-                f"(complexity {sec['complexity']}, {sec['type']}, "
-                + ("rule validated" if sec["rule_validated"] else "heuristic rule")
-                + ")"
-            )
-        rows = [
-            [
-                _nodes_label(s["nodes"]),
-                fmt_md(s["multidegree"]),
-                str(s["dim"]),
-                "yes" if s["component"] else "no",
-            ]
-            for s in sec["strata"]
-        ]
-        lines += _table(["S", "multidegree", "dim", "component"], rows)
+    elif command == "strata":
+        lines.append(f"strata: {sec['count']}")
+        lines += _table(sec["strata"], _STRATA_COLUMNS)
+    elif command == "components":
+        rule = "rule validated" if sec["rule_validated"] else "heuristic rule"
+        kind = f"complexity {sec['complexity']}, {sec['type']}, {rule}"
+        lines.append(f"irreducible components: {sec['count']} ({kind})")
+        lines += _table(sec["strata"], _STRATA_COLUMNS)
     elif command == "theta":
-        sec = report["theta"]
-        lines.append("")
         lines.append(f"theta strata: {sec['count']}")
-        rows = [
-            [
-                _nodes_label(t["nodes"]),
-                fmt_md(t["multidegree"]),
-                "unknown" if t["dim"] is None else str(t["dim"]),
-                t["description"],
-            ]
-            for t in sec["strata"]
-        ]
-        lines += _table(["S", "multidegree", "dim", "description"], rows)
+        description = ("description", "description", str)
+        lines += _table(sec["strata"], (_S, _MULTIDEGREE, _DIM, description))
     elif command == "neron":
-        sec = report["neron"]
-        lines.append("")
         plural = "" if sec["count"] == 1 else "s"
         lines.append(f"Neron fiber in degree {sec['degree']}: {sec['count']} component{plural}")
-        rows = [[fmt_md(r["label"]), fmt_md(r["representative"])] for r in sec["components"]]
-        lines += _table(["label", "representative"], rows)
+        representative = ("representative", "representative", fmt_md)
+        lines += _table(sec["components"], (_LABEL, representative))
+    elif command == "abel" and sec["mode"] == "g-minus-1":
+        lines += _kv_block(
+            f"degree g-1 Abel map (g1={sec['g1']}, g2={sec['g2']}, nodes={sec['nodes']})",
+            ("naturality", sec["status"]),
+            ("reason", sec["reason"]),
+            ("offending", ", ".join(map(fmt_md, sec["offending"])) or "none"),
+            ("profile all zero", _yes_no(sec["all_zero"])),
+        )
+        lines.append("  corrections:")
+        lines += _table(
+            sec["profile"],
+            (("l", "l", str), ("a(l)", "correction", str), ("corrected", "corrected", fmt_md)),
+            "    ",
+        )
     elif command == "abel":
-        sec = report["abel"]
-        lines.append("")
-        if sec["mode"] == "g-minus-1":
-            lines += _kv_block(
-                f"degree g-1 Abel map (g1={sec['g1']}, g2={sec['g2']}, nodes={sec['nodes']})",
-                [
-                    ("naturality", sec["status"]),
-                    ("reason", sec["reason"]),
-                    (
-                        "offending",
-                        ", ".join(fmt_md(d) for d in sec["offending"]) or "none",
-                    ),
-                    ("profile all zero", "yes" if sec["all_zero"] else "no"),
-                ],
-            )
-            rows = [
-                [str(e["l"]), str(e["correction"]), fmt_md(e["corrected"])]
-                for e in sec["profile"]
-            ]
-            lines.append("  corrections:")
-            lines += _table(["l", "a(l)", "corrected"], rows, indent="    ")
-        else:
-            pairs = [
-                ("naturality", sec["status"]),
-                ("reason", sec["reason"]),
-                ("essential connectivity", sec["essential_connectivity"]),
-                ("d-general", sec["d_general"] if sec["d_general"] else "n/a"),
-            ]
-            if "degree1_embedding" in sec:
-                emb = sec["degree1_embedding"]
-                pairs.append(
-                    ("degree-1 embedding", "yes" if emb["is_embedding"] else "no")
-                )
-                if emb["offenders"]:
-                    pairs.append(("contracted components", ", ".join(emb["offenders"])))
-            lines += _kv_block(f"degree {sec['degree']} Abel map", pairs)
+        pairs = [
+            ("naturality", sec["status"]),
+            ("reason", sec["reason"]),
+            ("essential connectivity", sec["essential_connectivity"]),
+            ("d-general", sec["d_general"] or "n/a"),
+        ]
+        if "degree1_embedding" in sec:
+            emb = sec["degree1_embedding"]
+            pairs.append(("degree-1 embedding", _yes_no(emb["is_embedding"])))
+            if emb["offenders"]:
+                pairs.append(("contracted components", ", ".join(emb["offenders"])))
+        lines += _kv_block(f"degree {sec['degree']} Abel map", *pairs)
     elif command == "dgeneral":
-        sec = report["dgeneral"]
-        lines += [""] + _kv_block(
+        lines += _kv_block(
             "d-general classification",
-            [
-                ("genus", sec["genus"]),
-                ("degree", sec["degree"]),
-                ("gcd(d-g+1, 2g-2)", sec["gcd"]),
-                ("verdict", sec["verdict"]),
-            ],
+            ("genus", sec["genus"]),
+            ("degree", sec["degree"]),
+            ("gcd(d-g+1, 2g-2)", sec["gcd"]),
+            ("verdict", sec["verdict"]),
         )
     return "\n".join(lines) + "\n"
 

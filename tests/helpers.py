@@ -155,3 +155,19 @@ def reference_theta_description(graph: DualGraph, stratum: Stratum) -> str:
                 factors.append(f"Pic^{locals_[k]}({_format_piece(other)})")
         terms.append(" × ".join(factors))
     return " ∪ ".join(terms) or "(empty)"
+
+
+# -- reference text table: the two-pass padder the report tables once used ----
+
+
+def reference_table(headers: list[str], rows: list[list[str]], indent: str) -> list[str]:
+    """Each column padded to its widest cell, header included, two spaces
+    between columns, and each line right-stripped after its indent."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [indent + "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    for row in rows:
+        lines.append(indent + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return lines

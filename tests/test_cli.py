@@ -15,6 +15,7 @@ from nodalpic.cli import (
     _TEMPLATE_ROWS,
     _json,
     _record_rows,
+    _table,
     build_classgroup,
     build_components,
     build_info,
@@ -26,6 +27,7 @@ from nodalpic.cli import (
     parse_curve,
 )
 from nodalpic.graph import DEFAULT_MAX_SUBCURVE_VERTICES, MEMO_SIZE
+from nodalpic.multidegree import fmt_md
 from nodalpic.picard import DEFAULT_MAX_STRATA_EDGES
 
 from helpers import (
@@ -33,6 +35,7 @@ from helpers import (
     golden_curves,
     random_connected_graph,
     reference_stratum_description,
+    reference_table,
     reference_theta_description,
 )
 
@@ -476,6 +479,89 @@ def test_descriptions_equal_the_per_stratum_reference():
     text = "\n".join(row["description"] for row in theta_rows + rows)
     for term in ("Θ({0}) × Pic^0(b%s)", "W_(0,2)(c∪d∪}{) × Pic^0({0})", "W_2(}{)", "e7:{0}-%]"):
         assert term in text
+
+
+
+def _check_table(headers, values, formats, indent):
+    # values[i][j] is record i's value in column j, printed by formats[j]
+    keys = [f"k{j}" for j in range(len(headers))]
+    records = [dict(zip(keys, row)) for row in values]
+    rows = [[fmt(v) for fmt, v in zip(formats, row)] for row in values]
+    expected = reference_table(headers, rows, indent)
+    assert _table(records, list(zip(headers, keys, formats)), indent) == expected
+
+
+TABLE_PIECES = ["%", "%s", "%%", "%-3s", "{", "}", "{0}", "Θ", "∪", "Θ(A) ∪ W", "a", "y ", "7"]
+
+
+def test_table_matches_the_two_pass_reference_on_random_tables():
+    # text columns of empty, blank-ended and format-character cells, and
+    # multidegree columns under fmt_md
+    rng = random.Random(18)
+    for _ in range(300):
+        formats = [rng.choice([str, fmt_md]) for _ in range(rng.randint(1, 4))]
+        headers = ["".join(rng.choices(TABLE_PIECES, k=rng.randint(1, 2))) for _ in formats]
+        values = [
+            [
+                [rng.randint(-12, 12) for _ in range(rng.randint(1, 3))]
+                if fmt is fmt_md
+                else "".join(rng.choices(TABLE_PIECES, k=rng.randint(0, 3)))
+                for fmt in formats
+            ]
+            for _ in range(rng.randint(0, 6))
+        ]
+        _check_table(headers, values, formats, rng.choice(["", "  ", "    "]))
+
+
+@pytest.mark.parametrize(
+    "headers,rows",
+    [
+        # an empty last cell after padded ones: its padding goes too
+        (["multidegree", "status", "witnesses"], [["(1,1)", "stable", ""], ["(0,2)", "x", "{%}; {{}"]]),
+        # an all-blank row keeps only its indent
+        (["a", "b"], [["Θ∪%s", "{0}"], ["%", ""], ["", ""]]),
+        # a header wider than every cell
+        (["a wide header", "S"], [["1", "{e0}"], ["%", "{}"]]),
+        # one row, and none
+        (["label", "representative"], [["0", "(0,0,0)"]]),
+        (["label"], []),
+    ],
+)
+@pytest.mark.parametrize("indent", ["  ", "    "])
+def test_table_matches_the_two_pass_reference(headers, rows, indent):
+    _check_table(headers, rows, [str] * len(headers), indent)
+
+
+# curve -> (its vertex renaming, the commands of its recorded text reports);
+# each old name is a letter found nowhere else in those reports
+RENAMED_GOLDENS = {
+    "multiloop": ({"A": "%", "C": "{", "D": "}"}, {"semistable": []}),
+    "triloop": (
+        {"A": "%", "C": "{"},
+        {
+            "strata": [],
+            "components": [],
+            "theta": [],
+            "classgroup": ["-d", "4"],
+            "neron": ["-d", "0"],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name,command",
+    [(name, command) for name, (_, commands) in RENAMED_GOLDENS.items() for command in commands],
+)
+def test_text_reports_golden_with_format_characters_in_names(name, command, tmp_path, capsys):
+    # names holding %-specifiers and braces are cell values, never template text
+    renaming, commands = RENAMED_GOLDENS[name]
+    table = str.maketrans(renaming)
+    curve = tmp_path / f"{name}.txt"
+    curve.write_text((GOLDEN / f"{name}.txt").read_text(encoding="utf-8").translate(table), "utf-8")
+    assert main([command, str(curve), *commands[command]]) == 0
+    expected = (GOLDEN / f"{name}.{command}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected.translate(table)
 
 
 # curve -> (degree g-1, a multidegree of total g-1, a dgeneral degree)
