@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -82,6 +82,13 @@ class DualGraph:
 
     Vertex order is fixed at construction and determines the coordinate
     order of every multidegree; edge order fixes the node indexing.
+
+    The derived fields are computed at construction, in one pass over the
+    edges: ``gamma`` and ``delta``, the vertex ``names``, the ``loops`` at
+    each vertex, the non-loop edge ``multiplicity`` between vertex pairs,
+    each vertex's ``nonloop_degree`` (its codegree) and the arithmetic
+    ``genus``.  They are plain attributes, not dataclass fields, so they
+    take no part in equality, hashing or ``repr``.
     """
 
     vertices: tuple[Vertex, ...]
@@ -96,6 +103,24 @@ class DualGraph:
             norm.append((u, v) if u <= v else (v, u))
         object.__setattr__(self, "edges", tuple(norm))
         self._validate()
+        n = len(verts)
+        loops = [0] * n
+        mult = [[0] * n for _ in range(n)]
+        for u, v in norm:
+            if u == v:
+                loops[u] += 1
+            else:
+                mult[u][v] += 1
+                mult[v][u] += 1
+        self.__dict__.update(
+            gamma=n,
+            delta=len(norm),
+            names=tuple(v.name for v in verts),
+            loops=tuple(loops),
+            multiplicity=tuple(map(tuple, mult)),
+            nonloop_degree=tuple(map(sum, mult)),
+            genus=sum(v.genus for v in verts) + len(norm) - n + 1,
+        )
 
     def _validate(self) -> None:
         names = [v.name for v in self.vertices]
@@ -133,61 +158,15 @@ class DualGraph:
             idx_edges.append((index[a], index[b]))
         return cls(verts, idx_edges)
 
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def gamma(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def delta(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.vertices)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v.name: i for i, v in enumerate(self.vertices)}
-
     def index_of(self, vertex: str | int) -> int:
         if isinstance(vertex, int):
             if not 0 <= vertex < self.gamma:
                 raise ValueError(f"vertex index {vertex} out of range")
             return vertex
         try:
-            return self._index[vertex]
-        except KeyError:
+            return self.names.index(vertex)
+        except ValueError:
             raise ValueError(f"unknown vertex {vertex!r}") from None
-
-    @cached_property
-    def loops(self) -> tuple[int, ...]:
-        """Number of loops at each vertex."""
-        out = [0] * self.gamma
-        for u, v in self.edges:
-            if u == v:
-                out[u] += 1
-        return tuple(out)
-
-    @cached_property
-    def multiplicity(self) -> tuple[tuple[int, ...], ...]:
-        """Non-loop edge multiplicities between vertex pairs."""
-        m = [[0] * self.gamma for _ in range(self.gamma)]
-        for u, v in self.edges:
-            if u != v:
-                m[u][v] += 1
-                m[v][u] += 1
-        return tuple(tuple(row) for row in m)
-
-    @cached_property
-    def nonloop_degree(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.multiplicity)
-
-    @cached_property
-    def genus(self) -> int:
-        b1 = self.delta - self.gamma + 1
-        return sum(v.genus for v in self.vertices) + b1
 
 
 def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -281,8 +260,7 @@ def complexity(graph: DualGraph) -> int:
 
 def is_tree_like(graph: DualGraph) -> bool:
     """True when deleting all loops leaves a tree."""
-    nonloop = sum(1 for u, v in graph.edges if u != v)
-    return nonloop == graph.gamma - 1
+    return graph.delta - sum(graph.loops) == graph.gamma - 1
 
 
 # -- bridges, essential graph, connectivity ----------------------------------

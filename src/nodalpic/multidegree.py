@@ -7,7 +7,6 @@ it refers to; all modules in this package use that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -20,14 +19,14 @@ def fmt_md(entries: Sequence[int]) -> str:
 
 @dataclass(frozen=True, init=False)
 class Multidegree:
-    """Immutable integer vector with a cached total."""
+    """Immutable integer vector."""
 
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int]):
         object.__setattr__(self, "entries", tuple(map(int, entries)))
 
-    @cached_property
+    @property
     def total(self) -> int:
         return sum(self.entries)
 

@@ -223,6 +223,8 @@ def _plan(graph: DualGraph, strict: bool, max_vertices: int):
             inside = set(z)
             zc = tuple(i for i in range(n) if i not in inside)
             upper[zc[-1]].append((slot(zc[:-1]), g - pa - 1 + slack, k))
+    # the closure holds itself; dropping it frees the plan by reference counting
+    del slot
 
     total = g - 1
     lows = [graph.vertices[i].genus + graph.loops[i] - 1 for i in range(n)]
@@ -315,6 +317,8 @@ def _scan(
             scan(i + 1, remaining - val, child)
 
     scan(0, graph.genus - 1, [])
+    # the closure holds itself; dropping it frees the scan by reference counting
+    del scan
     return tuple(rows), tuple(verdicts)
 
 

@@ -171,3 +171,32 @@ def reference_table(headers: list[str], rows: list[list[str]], indent: str) -> l
     for row in rows:
         lines.append(indent + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return lines
+
+
+# -- reference graph fields: each derived on its own, from the edges ---------
+
+
+def reference_fields(graph: DualGraph) -> dict:
+    """The derived fields of ``graph``, each computed again from its vertices
+    and edges by its own walk, the way the lazy accessors once did."""
+    gamma = len(graph.vertices)
+    delta = len(graph.edges)
+    loops = [0] * gamma
+    for u, v in graph.edges:
+        if u == v:
+            loops[u] += 1
+    m = [[0] * gamma for _ in range(gamma)]
+    for u, v in graph.edges:
+        if u != v:
+            m[u][v] += 1
+            m[v][u] += 1
+    multiplicity = tuple(tuple(row) for row in m)
+    return {
+        "gamma": gamma,
+        "delta": delta,
+        "names": tuple(v.name for v in graph.vertices),
+        "loops": tuple(loops),
+        "multiplicity": multiplicity,
+        "nonloop_degree": tuple(sum(row) for row in multiplicity),
+        "genus": sum(v.genus for v in graph.vertices) + delta - gamma + 1,
+    }

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -8,6 +11,7 @@ from nodalpic import (
     DualGraph,
     NodeSet,
     Subcurve,
+    Vertex,
     bridges,
     complexity,
     component_arithmetic_genus,
@@ -24,11 +28,14 @@ from nodalpic import (
 from nodalpic.oracle import spanning_trees_bruteforce
 
 from helpers import (
+    bridged_curves,
     complete4,
     four_cycle,
+    golden_curves,
     path3,
     permuted,
     random_connected_graph,
+    reference_fields,
     single_vertex,
     triangle,
 )
@@ -429,3 +436,63 @@ def test_subcurve_table_equals_the_reference():
                 except ValueError:
                     pass
         assert _subcurve_table(g, 20) == tuple(expected)
+
+
+# -- derived fields against the reference -------------------------------------
+
+
+def _fields(g):
+    return {name: getattr(g, name) for name in reference_fields(g)}
+
+
+def _field_cases():
+    """Golden curves, seeded multigraphs with loops and parallel edges, and
+    pieces of a partial normalization of each."""
+    rng = random.Random(104)
+    graphs = golden_curves() + bridged_curves() + [g for _, g in _random_graphs(105, 80)]
+    pieces = [
+        piece
+        for g in graphs
+        for piece in partial_normalization(g, rng.sample(range(g.delta), rng.randint(0, g.delta)))
+    ]
+    return graphs + pieces
+
+
+def test_derived_fields_equal_the_reference():
+    cases = _field_cases()
+    assert any(sum(g.loops) for g in cases)
+    assert any(max(map(max, g.multiplicity)) > 1 for g in cases)
+    for g in cases:
+        assert _fields(g) == reference_fields(g)
+
+
+def test_derived_fields_take_no_part_in_equality_hash_or_repr():
+    a = DualGraph.from_names([("P", 1), ("Q", 0)], [("P", "Q"), ("Q", "P"), ("P", "P")])
+    b = DualGraph(a.vertices, [(1, 0), (0, 1), (0, 0)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert [f.name for f in dataclasses.fields(DualGraph)] == ["vertices", "edges"]
+    assert repr(a) == (
+        "DualGraph(vertices=(Vertex(name='P', genus=1), Vertex(name='Q', genus=0)), "
+        "edges=((0, 1), (0, 1), (0, 0)))"
+    )
+
+
+def test_replace_copy_and_pickle_keep_the_fields_consistent():
+    for g in golden_curves():
+        for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert other == g and hash(other) == hash(g)
+            assert _fields(other) == reference_fields(g)
+        raised = dataclasses.replace(g, vertices=tuple(Vertex(v.name, v.genus + 1) for v in g.vertices))
+        assert raised.genus == g.genus + g.gamma
+        assert _fields(raised) == reference_fields(raised)
+
+
+def test_index_of_by_name_and_by_index():
+    g = triangle()
+    assert [g.index_of(name) for name in g.names] == [0, 1, 2]
+    assert [g.index_of(i) for i in range(3)] == [0, 1, 2]
+    with pytest.raises(ValueError, match=r"^unknown vertex 'z'$"):
+        g.index_of("z")
+    for i in (3, -1):
+        with pytest.raises(ValueError, match=rf"^vertex index {i} out of range$"):
+            g.index_of(i)

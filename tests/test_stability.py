@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -22,11 +23,12 @@ from nodalpic import (
     semistable_verdicts,
     vine_graph,
 )
-from nodalpic import stability
+from nodalpic import graph, picard, stability
 from nodalpic.cli import build_semistable
 from nodalpic.oracle import semistable_bruteforce, semistable_count, stable_count
 
 from helpers import (
+    golden_curves,
     permuted,
     permuted_md,
     random_connected_graph,
@@ -326,3 +328,24 @@ def test_counts_equal_the_forest_closed_forms_past_the_oracle_range(g, known):
     assert counted == (semistable_count(g), stable_count(g))
     if known is not None:
         assert counted == known
+
+
+def test_scans_and_strata_leave_no_cyclic_garbage():
+    # a result its memo drops is freed by reference counting, not left to
+    # wait for the cyclic collector
+    curves = golden_curves()
+    for memo in (stability._scan, graph._subcurve_table, picard._strata):
+        memo.cache_clear()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for g in curves:
+            enumerate_semistable(g)
+            semistable_verdicts(g)
+            enumerate_stable(g)
+            picard.strata(g)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
