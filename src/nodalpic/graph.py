@@ -302,52 +302,58 @@ def bridges(graph: DualGraph) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _contract_bridges(graph: DualGraph) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The groups that bridges join, and the other non-loop edges as group pairs."""
+    bridge_set = set(bridges(graph))
+    adj = _adjacency(graph.gamma, (graph.edges[i] for i in bridge_set))
+    groups = _components(adj, range(graph.gamma))
+    new_id = [0] * graph.gamma
+    for k, members in enumerate(groups):
+        for i in members:
+            new_id[i] = k
+    # a non-bridge edge never closes up inside a contracted group
+    edges = [
+        (new_id[u], new_id[v])
+        for idx, (u, v) in enumerate(graph.edges)
+        if u != v and idx not in bridge_set
+    ]
+    return groups, edges
+
+
 def essential_graph(graph: DualGraph) -> DualGraph:
     """Delete every loop, then contract every bridge.
 
     Genera of merged vertices are summed and their names joined, so genus
     bookkeeping survives the contraction.  The operation is idempotent.
+    A joined name can equal a vertex name holding "+", which fails validation.
     """
-    bridge_set = set(bridges(graph))
-    groups = _components(
-        _adjacency(graph.gamma, (graph.edges[i] for i in bridge_set)),
-        range(graph.gamma),
-    )
-    new_id = [0] * graph.gamma
-    new_vertices = []
-    for k, members in enumerate(groups):
-        for i in members:
-            new_id[i] = k
-        name = "+".join(graph.vertices[i].name for i in members)
-        genus = sum(graph.vertices[i].genus for i in members)
-        new_vertices.append(Vertex(name, genus))
-    # a non-bridge edge never closes up inside a contracted group
-    new_edges = [
-        (new_id[u], new_id[v])
-        for idx, (u, v) in enumerate(graph.edges)
-        if u != v and idx not in bridge_set
-    ]
-    return DualGraph(tuple(new_vertices), new_edges)
+    groups, edges = _contract_bridges(graph)
+    v = graph.vertices
+    merged = [Vertex("+".join(v[i].name for i in g), sum(v[i].genus for i in g)) for g in groups]
+    return DualGraph(merged, edges)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def essential_connectivity(graph: DualGraph) -> int | float:
     """Edge connectivity of the essential graph; infinity when it is a point.
 
-    Every report's curve block reads it and ``abel`` reads it again, so
-    equal graphs share it through a memo of the last ``MEMO_SIZE`` curves:
-    the reports of one curve run one minimum cut.
+    Read off the contracted edges, never naming a vertex, so no joined name
+    can collide.  Every report's curve block reads it and ``abel`` reads it
+    again, so equal graphs share it through a memo of the last ``MEMO_SIZE``
+    curves: the reports of one curve run one minimum cut.
     """
-    ess = essential_graph(graph)
-    if ess.gamma == 1:
+    groups, edges = _contract_bridges(graph)
+    if len(groups) == 1:
         return math.inf
-    return _global_min_cut([list(row) for row in ess.multiplicity])
+    return _global_min_cut(len(groups), edges)
 
 
-def _global_min_cut(weights: list[list[int]]) -> int:
-    """Stoer-Wagner global minimum cut with integer weights."""
-    n = len(weights)
-    w = [row[:] for row in weights]
+def _global_min_cut(n: int, edges: list[tuple[int, int]]) -> int:
+    """Stoer-Wagner global minimum cut of the multigraph on range(n)."""
+    w = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        w[u][v] += 1
+        w[v][u] += 1
     active = list(range(n))
     best: int | None = None
     while len(active) > 1:

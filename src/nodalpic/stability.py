@@ -14,11 +14,19 @@ Z^c ends first, and d(Z^c) <= g - p_a(Z) (<= g - p_a(Z) - 1 when strict),
 the same inequality read through |d| = g-1, is tested at Z^c's last vertex.
 Each test bounds d_i to a range, and no prefix outside it is extended.  The
 pruning is exact: each test is a necessary condition, so no result is lost.
-The tests held back at the last vertex are implied: the bounds on the
-degree of the vertices still to come force |d| = g-1, so there
-d_Z = g-1 - d(Z^c), and the kept test already bounded that quantity.  So
-the last depth has no tests, its entry is the remaining degree, and every
-visit there is a result.
+The tests held back at the last vertex are implied: its entry is the
+degree that remains, so |d| = g-1 and there d_Z = g-1 - d(Z^c), which the
+kept test already bounded.  So the last depth has no tests, and every visit
+there is a result.
+
+Besides the tests, one bound caps d_i at r - sum_{j>i} low_j, r the degree
+left for d_i, d_{i+1}, ... and low_j = p_a({j}) - 1, as no upper test need
+land where {i+1, ..., gamma-1} is disconnected (a star listed hub first).
+No per-vertex bound is needed: the singleton {i}, the first test at each
+depth but the last, gives d_i >= low_i; the earlier singletons keep the cap
+at most high_i = low_i + E, E the number of non-loop nodes; and the tests on
+the components of {0, ..., i} give d({0, ..., i}) >= sum_{j<=i} low_j,
+which is at least g-1 - sum_{j>i} high_j, as g-1 = sum_j low_j + E.
 
 Each test needs the degree of its set minus i, which the scan keeps in
 slots: one slot per such vertex tuple and per tuple obtained from it by
@@ -185,8 +193,8 @@ _STABLE = StabilityVerdict(StabilityStatus.STABLE)
 
 
 def _plan(graph: DualGraph, strict: bool, max_vertices: int):
-    """The scan's work at each depth i, ``(lower, upper, fills, low, high,
-    suffix_high, suffix_low)``, the slot count and the table's subcurves.
+    """The scan's work at each depth i, ``(lower, upper, fills, suffix_low)``,
+    the slot count and the table's subcurves.
 
     Each connected proper subcurve Z, at table index k, gets one test, at
     the earlier of the last vertices of Z and Z^c, one of which is the last
@@ -197,6 +205,7 @@ def _plan(graph: DualGraph, strict: bool, max_vertices: int):
     the degree of the bounded set minus that vertex.  Once d_i is set, each
     ``(slot, parent)`` in ``fills`` takes its parent's sum plus d_i.  No
     slot holds the last vertex, so the last depth has no tests and no fills.
+    ``lower`` starts with the singleton {i}, and ``suffix_low`` is sum_{j>i} low_j.
     """
     n = graph.gamma
     g = graph.genus
@@ -226,25 +235,9 @@ def _plan(graph: DualGraph, strict: bool, max_vertices: int):
     # the closure holds itself; dropping it frees the plan by reference counting
     del slot
 
-    total = g - 1
     lows = [graph.vertices[i].genus + graph.loops[i] - 1 for i in range(n)]
-    base = sum(lows)
-    highs = [total - (base - lows[i]) for i in range(n)]
-    suffix_low = [0] * (n + 1)
-    suffix_high = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_low[i] = suffix_low[i + 1] + lows[i]
-        suffix_high[i] = suffix_high[i + 1] + highs[i]
     levels = tuple(
-        (
-            tuple(lower[i]),
-            tuple(upper[i]),
-            tuple(fills[i]),
-            lows[i],
-            highs[i],
-            suffix_high[i + 1],
-            suffix_low[i + 1],
-        )
+        (tuple(lower[i]), tuple(upper[i]), tuple(fills[i]), sum(lows[i + 1 :]))
         for i in range(n)
     )
     return levels, len(slots), tuple(z for z, _ in table)
@@ -267,8 +260,8 @@ def _scan(
 
     def scan(i, remaining, found):
         if i == last:
-            # the suffix bounds of the depths above put d_i = remaining in
-            # range; on a one-component curve it is low_i = high_i = g - 1
+            # the tests held back here are implied, so d_i = remaining needs
+            # no bound; on a one-component curve it is g - 1
             prefix[i] = remaining
             rows.append(Multidegree(prefix))
             if classify:
@@ -278,10 +271,10 @@ def _scan(
                 else:
                     verdicts.append(_STABLE)
             return
-        lower, upper, fills, low_i, high_i, suffix_high, suffix_low = levels[i]
-        # every bounded subset at depth i holds i, so each test is a range for d_i
-        lo = max(low_i, remaining - suffix_high)
-        hi = min(high_i, remaining - suffix_low)
+        lower, upper, fills, suffix_low = levels[i]
+        # each test holds i, so bounds d_i; the first is {i}, whose slot 0 stays 0
+        lo = lower[0][1]
+        hi = remaining - suffix_low
         at_lo = []
         for slot, low, k in lower:
             v = low - sums[slot]

@@ -653,6 +653,34 @@ def test_main_semistabilize_wrong_length(vine_file, capsys):
     assert "multidegree has 3 entries, graph has 2" in capsys.readouterr().err
 
 
+# the bridge a-b merges into "a+b" in the essential graph, a name the curve already has
+PLUS_NAMES_TEXT = """\
+vertex a 1
+vertex b 1
+vertex a+b 1
+edge a b
+edge b a+b
+edge b a+b
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c] for c in ("info", "semistable", "strata", "components", "theta", "classgroup", "neron")]
+    + [["abel", "-d", "1"], ["dgeneral", "-d", "1"], ["semistabilize", "-d", "1,1,1"]],
+)
+def test_every_command_runs_when_a_merged_bridge_name_is_taken(argv, tmp_path, capsys):
+    path = tmp_path / "plus.txt"
+    path.write_text(PLUS_NAMES_TEXT)
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert main([argv[0], str(path), *argv[1:], "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    if "curve" in report:
+        # {a, b} and {a+b} joined by two nodes
+        assert report["curve"]["essential_connectivity"] == 2
+
+
 def test_main_abel_g_minus_1_requires_two_components(tmp_path, capsys):
     path = tmp_path / "c.txt"
     path.write_text("vertex A 2\nedge A A\n")

@@ -177,6 +177,7 @@ def test_essential_connectivity_matches_bipartition_scan():
         return best
 
     rng = random.Random(42)
+    collisions = 0
     for _ in range(60):
         g = random_connected_graph(rng)
         ess = essential_graph(g)
@@ -185,6 +186,18 @@ def test_essential_connectivity_matches_bipartition_scan():
             assert eps == math.inf
         else:
             assert eps == brute_min_cut(ess)
+        # vertex i renamed to i + 1 copies of "p" joined by "+": a merged
+        # group's joined name can equal another vertex's name
+        plus = DualGraph(
+            tuple(Vertex("+".join("p" * (i + 1)), v.genus) for i, v in enumerate(g.vertices)),
+            g.edges,
+        )
+        try:
+            essential_graph(plus)
+        except ValueError:
+            collisions += 1
+        assert essential_connectivity(plus) == eps
+    assert collisions > 0
 
 
 def test_connected_subcurves_vine():

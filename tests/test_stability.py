@@ -220,12 +220,24 @@ def _complete(n: int) -> DualGraph:
     return DualGraph.from_names([(x, 0) for x in names], edges)
 
 
+def _hub_first_star(genera: list[int], loop: bool) -> DualGraph:
+    """A genus-0 hub listed first, two nodes to each leaf, and maybe a loop
+    at the first leaf.  The leaves are disconnected, so no upper test lands
+    at the hub's depth and only sum_{j>0} low_j caps d_0."""
+    leaves = [f"l{i}" for i in range(len(genera))]
+    edges = [("h", x) for x in leaves for _ in range(2)] + [(leaves[0], leaves[0])] * loop
+    return DualGraph.from_names([("h", 0), *zip(leaves, genera)], edges)
+
+
 def _classifying_scan_curves() -> list[DualGraph]:
     rng = random.Random(44)
     curves = [_multigraph(rng, 2 + k % 8) for k in range(56)]
     assert any(len(set(g.edges)) < len(g.edges) for g in curves)
     assert any(u == v for g in curves for u, v in g.edges)
-    return curves + [_cycle(10), _complete(6)]
+    stars = [_hub_first_star([0, 0, 0, 0], True), _hub_first_star([0, 1, 0, 0, 0], False)]
+    # no upper test at the hub's depth
+    assert all(stability._plan(g, False, 20)[0][0][1] == () for g in stars)
+    return curves + [_cycle(10), _complete(6)] + stars
 
 
 @pytest.mark.parametrize("g", _classifying_scan_curves())
@@ -248,6 +260,11 @@ def test_plan_tests_each_subcurve_once_and_nothing_at_the_last_depth(strict):
         tested = [k for lower, upper, *_ in levels for *_, k in lower + upper]
         assert sorted(tested) == list(range(len(subcurves)))
         assert levels[-1][:3] == ((), (), ())
+        # the singleton {i} comes first at each earlier depth: the scan's lo
+        # starts at its value, which implies the per-vertex bounds
+        for i, (lower, *_) in enumerate(levels[:-1]):
+            assert subcurves[lower[0][2]] == Subcurve((i,))
+            assert lower[0][0] == 0
 
 
 def test_scan_witnesses_are_the_table_subcurves_in_table_order():
