@@ -323,13 +323,21 @@ def _contract_bridges(graph: DualGraph) -> tuple[list[list[int]], list[tuple[int
 def essential_graph(graph: DualGraph) -> DualGraph:
     """Delete every loop, then contract every bridge.
 
-    Genera of merged vertices are summed and their names joined, so genus
-    bookkeeping survives the contraction.  The operation is idempotent.
-    A joined name can equal a vertex name holding "+", which fails validation.
+    Genera of merged vertices are summed and their names joined with "+", so
+    genus bookkeeping survives the contraction.  A joined name that a vertex
+    or an earlier group already holds gets "'" appended until it is unique.
+    The operation is idempotent.
     """
     groups, edges = _contract_bridges(graph)
     v = graph.vertices
-    merged = [Vertex("+".join(v[i].name for i in g), sum(v[i].genus for i in g)) for g in groups]
+    taken = set(graph.names)
+    merged = []
+    for g in groups:
+        name = "+".join(v[i].name for i in g)
+        while len(g) > 1 and name in taken:
+            name += "'"
+        taken.add(name)
+        merged.append(Vertex(name, sum(v[i].genus for i in g)))
     return DualGraph(merged, edges)
 
 

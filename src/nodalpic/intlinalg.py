@@ -2,14 +2,17 @@
 
 Everything here works on small dense matrices given as lists of lists (or
 tuples of tuples) of arbitrary-precision integers.  Determinants use the
-fraction-free Bareiss scheme so intermediate values stay integral; the Smith
-normal form tracks the unimodular row/column transforms and the inverse of
-the row transform, which the class-group canonicalization needs.
+fraction-free Bareiss scheme so intermediate values stay integral.  The Smith
+normal form reduces one augmented matrix: each row carries its row of the
+left transform, each column operation also runs over the right transform, and
+the inverse of the left transform, which the class-group canonicalization
+needs, is kept as columns that take the inverse of every row operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -85,52 +88,28 @@ class SmithNormalForm:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = identity(m)
-    u_inv = identity(m)
-    v = identity(n)
-
-    def row_swap(i, j):
-        if i == j:
-            return
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if any(len(row) != n for row in matrix):
+        raise ValueError("smith_normal_form: the rows differ in length")
+    # row i is the matrix's row i followed by left's row i: one operation moves both
+    a = [[int(x) for x in row] + unit for row, unit in zip(matrix, identity(m))]
+    inv_cols = identity(m)  # the columns of ``left_inv``
+    right = identity(n)
 
     def row_add(i, j, c):
-        # row i += c * row j
+        # row i += c * row j; the inverse subtracts c * column i from column j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in u_inv:
-            r[j] -= c * r[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
-
-    def col_swap(i, j):
-        if i == j:
-            return
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        inv_cols[j] = [x - c * y for x, y in zip(inv_cols[j], inv_cols[i])]
 
     def col_add(i, j, c):
         # col i += c * col j
-        for r in a:
-            r[i] += c * r[j]
-        for r in v:
+        for r in chain(a, right):
             r[i] += c * r[j]
 
-    def min_pivot(t):
-        best = None
-        best_val = 0
+    def move_pivot(t):
+        # bring the first least nonzero |entry| (row-major) to (t, t), made positive
+        best, best_val = None, 0
         for i in range(t, m):
             row = a[i]
             for j in range(t, n):
@@ -138,20 +117,20 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
                 if x != 0 and (best is None or abs(x) < best_val):
                     best = (i, j)
                     best_val = abs(x)
-        return best
-
-    def move_pivot(t):
-        pos = min_pivot(t)
-        if pos is None:
+        if best is None:
             return False
-        row_swap(t, pos[0])
-        col_swap(t, pos[1])
+        i, j = best
+        a[t], a[i] = a[i], a[t]
+        inv_cols[t], inv_cols[i] = inv_cols[i], inv_cols[t]
+        if j != t:
+            for r in chain(a, right):
+                r[t], r[j] = r[j], r[t]
         if a[t][t] < 0:
-            row_negate(t)
+            a[t] = [-x for x in a[t]]
+            inv_cols[t] = [-x for x in inv_cols[t]]
         return True
 
-    t = 0
-    while t < min(m, n):
+    for t in range(min(m, n)):
         if not move_pivot(t):
             break
         while True:
@@ -174,21 +153,22 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
                 # a smaller remainder appeared; restart with it as pivot
                 move_pivot(t)
                 continue
-            violation = None
             for i in range(t + 1, m):
                 row = a[i]
                 for j in range(t + 1, n):
                     if row[j] % a[t][t]:
-                        violation = i
                         break
-                if violation is not None:
-                    break
-            if violation is None:
+                else:
+                    continue
+                # pull a non-divisible entry into the pivot row and keep reducing
+                row_add(t, i, 1)
                 break
-            # pull a non-divisible entry into the pivot row and keep reducing
-            row_add(t, violation, 1)
-        t += 1
+            else:
+                break  # the pivot divides every entry left
 
-    diag = tuple(a[i][i] for i in range(min(m, n)))
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return SmithNormalForm(diag, freeze(u), freeze(u_inv), freeze(v))
+    return SmithNormalForm(
+        tuple(a[i][i] for i in range(min(m, n))),
+        tuple(tuple(r[n:]) for r in a),
+        tuple(zip(*inv_cols)),
+        tuple(map(tuple, right)),
+    )

@@ -310,6 +310,18 @@ def _cycle(n):
     )
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_invariant_factors_of_complete_graphs(n):
+    # the critical group of K_n is (Z/n)^(n-2), after Cayley's n^(n-2) trees
+    assert degree_class_group(_complete(n)).invariant_factors == (n,) * (n - 2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_invariant_factors_of_cycles(n):
+    # the critical group of C_n is cyclic of order n
+    assert degree_class_group(_cycle(n)).invariant_factors == (n,)
+
+
 def test_semistabilize_fires_at_most_half_the_nodes_after_the_jump(monkeypatch):
     found = []
     violation = classgroup._violation

@@ -176,28 +176,46 @@ def test_essential_connectivity_matches_bipartition_scan():
                     best = crossing
         return best
 
+    def eps_of(ess):
+        return math.inf if ess.gamma == 1 else brute_min_cut(ess)
+
     rng = random.Random(42)
-    collisions = 0
+    primed = 0
     for _ in range(60):
         g = random_connected_graph(rng)
-        ess = essential_graph(g)
         eps = essential_connectivity(g)
-        if ess.gamma == 1:
-            assert eps == math.inf
-        else:
-            assert eps == brute_min_cut(ess)
+        assert eps == eps_of(essential_graph(g))
         # vertex i renamed to i + 1 copies of "p" joined by "+": a merged
         # group's joined name can equal another vertex's name
         plus = DualGraph(
             tuple(Vertex("+".join("p" * (i + 1)), v.genus) for i, v in enumerate(g.vertices)),
             g.edges,
         )
-        try:
-            essential_graph(plus)
-        except ValueError:
-            collisions += 1
-        assert essential_connectivity(plus) == eps
-    assert collisions > 0
+        ess = essential_graph(plus)
+        assert len(set(ess.names)) == ess.gamma
+        assert eps_of(ess) == essential_connectivity(plus) == eps
+        primed += any(name.endswith("'") for name in ess.names)
+    assert primed > 0
+
+
+def test_essential_graph_primes_taken_joined_names():
+    # the bridge a-b merges into "a+b", which the vertex "a+b" already holds;
+    # the bridge c-d merges into "c+d", which "c+d'" leaves free
+    g = DualGraph.from_names(
+        [("a", 0), ("b", 1), ("a+b", 0), ("c", 0), ("d", 2), ("c+d'", 0)],
+        [("a", "b"), ("b", "a+b"), ("b", "a+b"), ("a+b", "c"), ("a+b", "c"),
+         ("c", "d"), ("d", "c+d'"), ("d", "c+d'")],
+    )
+    ess = essential_graph(g)
+    assert ess.names == ("a+b'", "a+b", "c+d", "c+d'")
+    assert [v.genus for v in ess.vertices] == [1, 0, 2, 0]
+    assert essential_graph(ess) == ess
+    # two bridges merge into the same joined name: the later group is primed
+    g = DualGraph.from_names(
+        [("p+q", 0), ("r", 0), ("p", 0), ("q+r", 0)],
+        [("p+q", "r"), ("r", "p"), ("r", "p"), ("p", "q+r")],
+    )
+    assert essential_graph(g).names == ("p+q+r", "p+q+r'")
 
 
 def test_connected_subcurves_vine():

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 
 import pytest
 
@@ -300,6 +301,41 @@ def test_scan_memos_are_bounded():
     # the scan is the only memo in stability; its plan is not memoized apart
     assert stability._scan.cache_info().maxsize == stability.MEMO_SIZE
     assert not hasattr(stability._plan, "cache_info")
+
+
+def _scan_visits(g: DualGraph, strict: bool) -> int:
+    """Calls of the ``scan`` closure in one uncached ``_scan`` of ``g``."""
+    visits = 0
+
+    def count(frame, event, arg):
+        nonlocal visits
+        code = frame.f_code
+        if event == "call" and code.co_name == "scan" and code.co_filename == stability.__file__:
+            visits += 1
+
+    stability._scan.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        stability._scan.__wrapped__(g, strict, stability.DEFAULT_MAX_SUBCURVE_VERTICES)
+    finally:
+        sys.setprofile(previous)
+    return visits
+
+
+@pytest.mark.parametrize(
+    "g,expected",
+    [
+        (_hub_first_star([0] * 9, False), (39356, 90)),
+        (_cycle(14), (32752, 14)),
+        (_complete(6), (3973, 861)),
+    ],
+    ids=["star9", "C14", "K6"],
+)
+def test_scan_visit_counts_are_pinned(g, expected):
+    # a looser cap on d_i leaves rows and verdicts as they are, since the
+    # extra prefixes die one depth later, and shows only in these counts
+    assert (_scan_visits(g, False), _scan_visits(g, True)) == expected
 
 
 def test_enumerate_stable_is_empty_exactly_on_bridged_curves():
