@@ -44,6 +44,7 @@ from .stability import (
     enumerate_stable,
     enumerate_stable_disconnected,
     semistable_verdicts,
+    stability_status,
 )
 from .picard import (
     BoundaryPoint,

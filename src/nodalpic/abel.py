@@ -21,7 +21,7 @@ from .graph import (
 )
 from .multidegree import Multidegree
 from .picard import DGeneralVerdict, d_general_verdict
-from .stability import check_stability
+from .stability import StabilityStatus, stability_status
 from typing import NamedTuple
 
 
@@ -94,7 +94,7 @@ def natural_g_minus_1_vine(g1: int, g2: int, delta: int) -> NaturalityVerdict:
     offending = tuple(
         d
         for d in (Multidegree((l, g - 1 - l)) for l in range(g))
-        if not check_stability(graph, d).is_semistable
+        if stability_status(graph, d)[0] is StabilityStatus.UNSTABLE
     )
     if not offending:
         return NaturalityVerdict(

@@ -15,9 +15,10 @@ from operator import add
 from typing import Sequence
 
 from .errors import TotalDegreeError
-from .graph import DEFAULT_MAX_SUBCURVE_VERTICES, MEMO_SIZE, DualGraph, Subcurve, _subcurve_table
+from .graph import MEMO_SIZE, DualGraph
 from .intlinalg import mat_vec, smith_normal_form
 from .multidegree import Multidegree
+from .stability import StabilityStatus, stability_status
 
 
 def laplacian(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
@@ -187,11 +188,7 @@ def class_representatives(dcg: DegreeClassGroup, total_degree: int) -> list[Mult
     return [rep for _, rep in class_listing(dcg, total_degree)]
 
 
-def semistabilize(
-    graph: DualGraph,
-    d: Multidegree,
-    max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
-) -> tuple[Multidegree, tuple[int, ...]]:
+def semistabilize(graph: DualGraph, d: Multidegree) -> tuple[Multidegree, tuple[int, ...]]:
     """Move a total-degree g-1 multidegree into the semistable set by twisting.
 
     Returns (d', firing) with d' = d + twister_multidegree(firing) semistable
@@ -199,12 +196,12 @@ def semistabilize(
     back unchanged.  Otherwise d first jumps by n, the rounded solution of
     L x = d - m, where m_v = p_a(v) - 1 + codeg(v)/2 puts every subcurve Z at
     the midpoint p_a(Z) - 1 + delta_Z/2 of its semistable range.  Then, while
-    some connected subcurve Z has d_Z < p_a(Z) - 1, the complement of Z fires.
+    ``stability_status`` finds a violated subcurve Z, connected with
+    d_Z < p_a(Z) - 1, the complement of Z fires.  No subcurve is listed.
 
     Each such firing lowers Q(f) = f.L.f/2 - (d - m).f by p_a(Z) - 1 - d_Z >= 1,
     and Q(n) - min Q = (n - x).L.(n - x)/2 <= delta/2 because |n - x| <= 1/2
-    entrywise, so at most floor(delta/2) firings follow the jump.  Subcurves
-    are listed under the ``max_vertices`` cap.
+    entrywise, so at most floor(delta/2) firings follow the jump.
     """
     if len(d) != graph.gamma:
         raise ValueError(f"multidegree has {len(d)} entries, graph has {graph.gamma}")
@@ -214,30 +211,21 @@ def semistabilize(
             f"semistabilization needs total degree {expected}, got {d.total}"
         )
     n = graph.gamma
-    table = _subcurve_table(graph, max_vertices)
-    if _violation(table, d) is None:
+    if stability_status(graph, d)[0] is not StabilityStatus.UNSTABLE:
         return d, (0,) * n
     lap = laplacian(graph)
     firing = _balanced_firing(graph, degree_class_group(graph), d)
     current = d - Multidegree(mat_vec(lap, firing))
     for _ in range(graph.delta // 2 + 1):
-        violation = _violation(table, current)
-        if violation is None:
+        status, violated = stability_status(graph, current)
+        if status is not StabilityStatus.UNSTABLE:
             shift = min(firing)
             return current, tuple(x - shift for x in firing)
-        inside = set(violation.vertices)
+        inside = set(violated.vertices)
         step = [0 if i in inside else 1 for i in range(n)]
         current = current - Multidegree(mat_vec(lap, step))
         firing = list(map(add, firing, step))
     raise AssertionError("more than floor(delta/2) firings after the balanced jump")
-
-
-def _violation(table, d: Multidegree) -> Subcurve | None:
-    """First subcurve Z of the table with d_Z < p_a(Z) - 1, if any."""
-    for subcurve, pa in table:
-        if d.degree_on(subcurve.vertices) < pa - 1:
-            return subcurve
-    return None
 
 
 def _balanced_firing(graph: DualGraph, dcg: DegreeClassGroup, d: Multidegree) -> list[int]:

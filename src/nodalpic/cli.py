@@ -197,10 +197,10 @@ def build_semistable(graph: DualGraph, max_vertices: int) -> dict:
     )
 
 
-def build_semistabilize(graph: DualGraph, entries: Sequence[int], max_vertices: int) -> dict:
+def build_semistabilize(graph: DualGraph, entries: Sequence[int]) -> dict:
     d = Multidegree(entries)
-    result, firing = classgroup.semistabilize(graph, d, max_vertices=max_vertices)
-    verdict = stability.check_stability(graph, result, max_vertices)
+    result, firing = classgroup.semistabilize(graph, d)
+    status, _ = stability.stability_status(graph, result)
     return _report(
         "semistabilize",
         graph,
@@ -209,7 +209,7 @@ def build_semistabilize(graph: DualGraph, entries: Sequence[int], max_vertices: 
             "result": _md(result),
             "firing": list(firing),
             "changed": result != d,
-            "status": verdict.status.value,
+            "status": status.value,
         },
     )
 
@@ -712,18 +712,15 @@ def _build_parser() -> _Parser:
         default=DEFAULT_MAX_STRATA_EDGES,
         help="cap for node-subset enumeration (default %(default)s)",
     )
-    stability_args = [common, vertex_cap]
     strata_args = [common, vertex_cap, edge_cap]
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     sub.add_parser("info", parents=[common], help="curve summary invariants")
     p = sub.add_parser("classgroup", parents=[common], help="degree class group")
     p.add_argument("-d", "--degree", type=int, default=0)
     sub.add_parser(
-        "semistable", parents=stability_args, help="semistable and stable multidegrees"
+        "semistable", parents=[common, vertex_cap], help="semistable and stable multidegrees"
     )
-    p = sub.add_parser(
-        "semistabilize", parents=stability_args, help="semistabilize a multidegree"
-    )
+    p = sub.add_parser("semistabilize", parents=[common], help="semistabilize a multidegree")
     p.add_argument(
         "-d",
         "--multidegree",
@@ -759,7 +756,7 @@ def _dispatch(graph: DualGraph, args) -> dict:
                 f"could not parse multidegree {args.multidegree!r}; "
                 "expected comma-separated integers"
             ) from None
-        return build_semistabilize(graph, entries, args.max_vertices)
+        return build_semistabilize(graph, entries)
     if args.command == "strata":
         return build_strata(graph, args.max_edges, args.max_vertices)
     if args.command == "components":

@@ -49,6 +49,9 @@ witnesses are the union of its depths' records, sorted by table index,
 which is ``check_stability``'s order; every leaf is semistable, so no
 subcurve is violated.  ``enumerate_semistable`` and ``semistable_verdicts``
 read the rows and verdicts off one memoized ``_scan``.
+
+``stability_status`` decides a single multidegree without the subcurve
+table, from one orientation of the nodes; its docstring gives the proof.
 """
 
 from __future__ import annotations
@@ -124,6 +127,11 @@ def check_stability(
     max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
 ) -> StabilityVerdict:
     """Classify a multidegree of total degree g-1 on a connected curve."""
+    _check_degree(graph, d)
+    return _classify(_subcurve_table(graph, max_vertices), d)
+
+
+def _check_degree(graph: DualGraph, d: Multidegree) -> None:
     if len(d) != graph.gamma:
         raise ValueError(f"multidegree has {len(d)} entries, graph has {graph.gamma}")
     expected = graph.genus - 1
@@ -131,7 +139,96 @@ def check_stability(
         raise TotalDegreeError(
             f"stability in degree g-1 needs total {expected}, got {d.total}"
         )
-    return _classify(_subcurve_table(graph, max_vertices), d)
+
+
+def stability_status(
+    graph: DualGraph, d: Multidegree
+) -> tuple[StabilityStatus, Subcurve | None]:
+    """The status of a multidegree of total degree g-1 on a connected curve,
+    and, when it is unstable, one violated subcurve; no subcurve is listed.
+
+    Put D'(v) = d_v - g_v - loops_v + 1, and let e'(Z) count the non-loop
+    nodes inside Z.  Then f(Z) = d_Z - p_a(Z) + 1 = D'(Z) - e'(Z), and under
+    any orientation O of the non-loop nodes whose indegrees are D', f(Z) is
+    in_O(Z), the number of nodes entering Z (Hakimi 1965).  Such an O exists
+    exactly when f(Z) >= 0 for every Z, so d is semistable exactly when it
+    exists, and stable exactly when moreover every proper Z is entered,
+    that is when O is strongly connected.
+
+    Each node is given a head greedily, at an endpoint with a head to spare.
+    A node left over is placed by an augmenting path: a search from its two
+    endpoints backwards along heads, to a vertex with a head to spare, whose
+    path is then reversed.  If the search fails, the set Z it reached is
+    closed under that step, so every head in Z comes from a node inside Z,
+    and every vertex of Z is full; with the node left over, e'(Z) exceeds
+    D'(Z), so f(Z) <= -1.  Z is connected, as the search grew it along nodes
+    from the leftover node's ends, and proper, as f(whole curve) = 0.  A
+    vertex with D'(v) < 0 is returned as Z = {v}.  Otherwise one forward and
+    one backward reachability pass from vertex 0 decide strong connectivity.
+    """
+    _check_degree(graph, d)
+    n = graph.gamma
+    # spare[v]: the heads v may still take, D'(v) less those it holds
+    spare = [
+        x - v.genus - loops + 1 for x, v, loops in zip(d.entries, graph.vertices, graph.loops)
+    ]
+    for v, s in enumerate(spare):
+        if s < 0:
+            return StabilityStatus.UNSTABLE, Subcurve._sorted((v,))
+    # tails[v]: the other end of each node whose head is v
+    tails: list[list[int]] = [[] for _ in range(n)]
+    left = []
+    for u, v in graph.edges:
+        if u == v:
+            continue
+        if spare[u]:
+            spare[u] -= 1
+            tails[u].append(v)
+        elif spare[v]:
+            spare[v] -= 1
+            tails[v].append(u)
+        else:
+            left.append((u, v))
+    for u, v in left:
+        parent = {u: v, v: u}
+        queue = [u, v]
+        for x in queue:
+            for y in tails[x]:
+                if y not in parent:
+                    parent[y] = x
+                    if spare[y]:
+                        break
+                    queue.append(y)
+            else:
+                continue
+            # reverse the path from y back to an end of (u, v), which then
+            # has a head to spare for the node
+            spare[y] -= 1
+            while y != u and y != v:
+                x = parent[y]
+                tails[x].remove(y)
+                tails[y].append(x)
+                y = x
+            tails[y].append(parent[y])
+            break
+        else:
+            return StabilityStatus.UNSTABLE, Subcurve._sorted(tuple(sorted(parent)))
+    heads: list[list[int]] = [[] for _ in range(n)]
+    for x, ends in enumerate(tails):
+        for y in ends:
+            heads[y].append(x)
+    for step in (heads, tails):
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for y in step[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        if not all(seen):
+            return StabilityStatus.STRICTLY_SEMISTABLE, None
+    return StabilityStatus.STABLE, None
 
 
 def check_stability_parts(

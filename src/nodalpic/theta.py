@@ -20,7 +20,7 @@ from .graph import (
 )
 from .multidegree import Multidegree, fmt_md
 from .picard import Stratum, strata, DEFAULT_MAX_STRATA_EDGES
-from .stability import check_stability
+from .stability import StabilityStatus, stability_status
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def w_dimension(graph: DualGraph, d: Multidegree) -> WAnalysis:
             clause="component-degree-excess",
         )
     if d.total == g - 1:
-        if check_stability(graph, d).is_semistable:
+        if stability_status(graph, d)[0] is not StabilityStatus.UNSTABLE:
             return WAnalysis(
                 multidegree=d,
                 w_dim=g - 1,

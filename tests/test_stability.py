@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+from itertools import product
 
 import pytest
 
@@ -22,13 +23,15 @@ from nodalpic import (
     enumerate_stable_disconnected,
     partial_normalization,
     semistable_verdicts,
+    stability_status,
     vine_graph,
 )
 from nodalpic import graph, picard, stability
 from nodalpic.cli import build_semistable
-from nodalpic.oracle import semistable_bruteforce, semistable_count, stable_count
+from nodalpic.oracle import OracleConfig, semistable_bruteforce, semistable_count, stable_count
 
 from helpers import (
+    bridged_multigraph,
     golden_curves,
     permuted,
     permuted_md,
@@ -58,6 +61,66 @@ def test_check_stability_unstable():
 def test_check_stability_wrong_total_is_an_error_not_unstable():
     with pytest.raises(TotalDegreeError):
         check_stability(vine_graph(1, 1, 2), Multidegree((5, 5)))
+
+
+def test_stability_status_rejects_a_wrong_length_or_total():
+    g = vine_graph(1, 1, 2)
+    with pytest.raises(ValueError, match="multidegree has 3 entries, graph has 2"):
+        stability_status(g, Multidegree((1, 1, 0)))
+    with pytest.raises(TotalDegreeError):
+        stability_status(g, Multidegree((5, 5)))
+
+
+def test_stability_status_equals_check_stability_and_the_oracle():
+    # the orientation, the subcurve table and the oracle's box scan decide
+    # each verdict on their own; a violated set is connected, proper and
+    # violated exactly when check_stability lists it as a witness
+    rng = random.Random(49)
+    config = OracleConfig(max_vertices=7, max_edges=11)
+    seen = dict.fromkeys(StabilityStatus, 0)
+    searched = 0
+    for k in range(400):
+        if k % 2:
+            g = random_connected_graph(rng, max_vertices=7, max_edges=11, max_genus=2)
+        else:
+            g = bridged_multigraph(rng)
+        semistable = semistable_bruteforce(g, config)
+        # a semistable d has low_i <= d_i <= low_i + codeg_i; draw one past each end
+        low = [v.genus + loops - 1 for v, loops in zip(g.vertices, g.loops)]
+        box = [(a - 1, a + codeg + 1) for a, codeg in zip(low, g.nonloop_degree)]
+        cases = [rng.choice(semistable) for _ in range(2)]
+        for _ in range(4):
+            entries = [rng.randint(a, b) for a, b in box[1:]]
+            cases.append(Multidegree([g.genus - 1 - sum(entries), *entries]))
+        for d in cases:
+            status, violated = stability_status(g, d)
+            verdict = check_stability(g, d)
+            assert status is verdict.status
+            assert (status is not StabilityStatus.UNSTABLE) == (d in semistable)
+            if status is StabilityStatus.UNSTABLE:
+                assert violated in verdict.witnesses
+                # a set of two or more comes from a failed augmenting search
+                searched += len(violated.vertices) > 1
+            else:
+                assert violated is None
+            seen[status] += 1
+    assert min(seen.values()) >= 200 and searched >= 100
+
+
+def test_stability_status_on_vines_equals_the_closed_form():
+    # the proper subcurves of vine(g1, g2, delta) are its two components:
+    # semistable iff g1 - 1 <= d_1 <= g1 - 1 + delta, stable iff both are strict
+    for g1, g2, delta in product(range(4), range(4), range(1, 7)):
+        g = vine_graph(g1, g2, delta)
+        for d1 in range(g1 - 3, g1 + delta + 2):
+            status, violated = stability_status(g, Multidegree((d1, g.genus - 1 - d1)))
+            if g1 - 1 < d1 < g1 - 1 + delta:
+                assert (status, violated) == (StabilityStatus.STABLE, None)
+            elif g1 - 1 <= d1 <= g1 - 1 + delta:
+                assert (status, violated) == (StabilityStatus.STRICTLY_SEMISTABLE, None)
+            else:
+                below = Subcurve((0,)) if d1 < g1 - 1 else Subcurve((1,))
+                assert (status, violated) == (StabilityStatus.UNSTABLE, below)
 
 
 def test_enumerate_vine_112():
