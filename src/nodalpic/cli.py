@@ -217,9 +217,10 @@ def build_semistabilize(graph: DualGraph, entries: Sequence[int]) -> dict:
 def _stratum_records(graph: DualGraph, strata: Sequence[picard.Stratum], top: int) -> list[dict]:
     # the components are the strata of dimension ``top``; the strata of one
     # node set are adjacent and share it: name its nodes and frame its
-    # description once
+    # description once, and print each distinct multidegree once
     records = []
     nodes = None
+    printed: dict[tuple[int, ...], str] = {}
     for s in strata:
         if s.nodes is not nodes:
             nodes = s.nodes
@@ -227,6 +228,9 @@ def _stratum_records(graph: DualGraph, strata: Sequence[picard.Stratum], top: in
             names = [picard.edge_name(graph, e) for e in edges]
             before, after = picard.stratum_description_frame(nodes, names)
         entries = s.multidegree.entries
+        text = printed.get(entries)
+        if text is None:
+            text = printed[entries] = fmt_md(entries)
         records.append(
             {
                 "nodes": edges,
@@ -234,7 +238,7 @@ def _stratum_records(graph: DualGraph, strata: Sequence[picard.Stratum], top: in
                 "multidegree": list(entries),
                 "dim": s.dim,
                 "component": s.dim == top,
-                "description": f"{before}{fmt_md(entries)}{after}",
+                "description": f"{before}{text}{after}",
             }
         )
     return records

@@ -267,39 +267,52 @@ def is_tree_like(graph: DualGraph) -> bool:
 
 
 def bridges(graph: DualGraph) -> tuple[int, ...]:
-    """Indices of non-loop edges whose removal disconnects the graph.
+    """Indices of non-loop edges whose removal disconnects the graph."""
+    return _bridges(graph.gamma, graph.edges)
+
+
+def _bridges(n: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The bridges of the connected multigraph on range(n) with these edges,
+    as sorted edge indices; it needs no ``DualGraph``, so a strata loop can
+    test a piece before building it.
 
     One depth-first search: a tree edge is a bridge when nothing below it
-    reaches back above it.  A vertex skips its parent only when one edge
-    joins them, so a parallel edge is a way back and never a bridge.
+    reaches back above it.  A vertex skips only the edge it arrived by, so a
+    parallel edge is a way back and never a bridge.
     """
-    adj = _adjacency(graph.gamma, graph.edges)
-    mult = graph.multiplicity
-    order = [-1] * graph.gamma
-    low = [0] * graph.gamma
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        if u != v:
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+    order = [-1] * n
+    low = [0] * n
     order[0] = 0
     found = 1
     out = []
     stack = [(0, -1, iter(adj[0]))]
     while stack:
-        x, parent, rest = stack[-1]
-        for y in rest:
-            if y == parent and mult[x][y] == 1:
+        x, via, rest = stack[-1]
+        for y, i in rest:
+            if i == via:
                 continue
             if order[y] < 0:
                 order[y] = low[y] = found
                 found += 1
-                stack.append((y, x, iter(adj[y])))
+                stack.append((y, i, iter(adj[y])))
                 break
-            low[x] = min(low[x], order[y])
+            if order[y] < low[x]:
+                low[x] = order[y]
         else:
             stack.pop()
             if stack:
-                low[parent] = min(low[parent], low[x])
+                parent = stack[-1][0]
+                if low[x] < low[parent]:
+                    low[parent] = low[x]
                 if low[x] > order[parent]:
-                    # a bridge is the one edge joining its ends
-                    out.append(graph.edges.index((min(x, parent), max(x, parent))))
-    return tuple(sorted(out))
+                    out.append(via)
+    out.sort()
+    return tuple(out)
 
 
 def _contract_bridges(graph: DualGraph) -> tuple[list[list[int]], list[tuple[int, int]]]:

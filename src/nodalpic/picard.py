@@ -19,9 +19,11 @@ again.  A call that exceeds a cap raises every time; errors are not cached.
 
 The loop visits only the node sets that hold every bridge of the curve, and
 leaves a node set at its first piece that has a bridge: such a piece carries
-no stable multidegree (see ``_strata``).  Within one call each distinct piece
-is built and scanned once, so equal pieces of different strata are one
-object.
+no stable multidegree (see ``_strata``), and it is told by its vertices and
+edges alone, so it is never built.  Within one call each distinct piece that
+carries rows is built and scanned once, so equal pieces of different strata
+are one object.  A node set whose normalization stays connected takes its
+one piece's rows as its strata's multidegrees, so those strata share them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .graph import (
     MEMO_SIZE,
     DualGraph,
     NodeSet,
+    _bridges,
     _normalization_pieces,
     bridges,
     complexity,
@@ -138,11 +141,15 @@ def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratu
     A node set is left at its first piece that has a bridge.
 
     The pieces of different node sets often coincide, so each distinct
-    piece is built and scanned once per call, in a dict keyed by its
-    vertices and local edges; each row is reassembled by the piece's
-    original vertex indices.  A one-vertex piece has no proper subcurve, so
-    its one stable multidegree is its total degree g_P - 1 and it needs no
-    scan.
+    piece is met once per call, in a dict keyed by its vertices and local
+    edges.  A key whose edges have a bridge is recorded with no rows and no
+    piece is built for it; any other piece is built and scanned.  A one-vertex
+    piece has no proper subcurve, so its one stable multidegree is its total
+    degree g_P - 1 and it needs no scan.  When S leaves the curve connected,
+    its one piece holds every vertex in the curve's order, so the piece's
+    rows are the strata's multidegrees, shared with every node set that
+    leaves an equal piece; with two or more pieces each row of the product
+    is reassembled by the pieces' original vertex indices.
     """
     if graph.delta > max_edges:
         raise CapExceeded(
@@ -158,7 +165,7 @@ def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratu
     g = graph.genus
     fixed = bridges(graph)
     free = [e for e in range(graph.delta) if e not in fixed]
-    known: dict[tuple, tuple[DualGraph, list[Multidegree]]] = {}
+    known: dict[tuple, tuple[DualGraph | None, list[Multidegree]]] = {}
     out: list[Stratum] = []
     for size in range(len(fixed), graph.delta + 1):
         for combo in combinations(free, size - len(fixed)):
@@ -167,13 +174,14 @@ def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratu
             for comp, edges in _normalization_pieces(graph, nodes.edges):
                 entry = known.get((comp, edges))
                 if entry is None:
-                    piece = DualGraph(tuple(graph.vertices[i] for i in comp), edges)
-                    if piece.gamma == 1:
-                        rows = [Multidegree((piece.genus - 1,))]
-                    elif bridges(piece):
-                        rows = []
+                    if _bridges(len(comp), edges):
+                        piece, rows = None, []
                     else:
-                        rows = enumerate_stable(piece, max_vertices)
+                        piece = DualGraph(tuple(graph.vertices[i] for i in comp), edges)
+                        if piece.gamma == 1:
+                            rows = [Multidegree((piece.genus - 1,))]
+                        else:
+                            rows = enumerate_stable(piece, max_vertices)
                     entry = known[comp, edges] = (piece, rows)
                 if not entry[1]:
                     break
@@ -181,6 +189,10 @@ def _strata(graph: DualGraph, max_edges: int, max_vertices: int) -> tuple[Stratu
             else:
                 parts = tuple(piece for _, piece, _ in found)
                 dim = g - size + (len(parts) - 1)
+                if len(found) == 1:
+                    # the one piece holds every vertex in the curve's order
+                    out.extend(Stratum(nodes, row, dim, parts) for row in found[0][2])
+                    continue
                 for choice in product(*(rows for _, _, rows in found)):
                     entries = [0] * graph.gamma
                     for (comp, _, _), local in zip(found, choice):

@@ -80,6 +80,13 @@ def bridged_curves() -> list[DualGraph]:
     return curves
 
 
+def seeded_multigraphs(count: int = 1000) -> list[DualGraph]:
+    """Seeded ``random_connected_graph`` curves of 1 to 7 vertices and at most
+    8 nodes, with loops, parallel edges and bridges among them."""
+    rng = random.Random(104)
+    return [random_connected_graph(rng, max_vertices=7, max_edges=8) for _ in range(count)]
+
+
 def permuted(graph: DualGraph, new_to_old: list[int]) -> DualGraph:
     """Same curve with vertices listed in a different order."""
     vertices = [
@@ -200,3 +207,43 @@ def reference_fields(graph: DualGraph) -> dict:
         "nonloop_degree": tuple(sum(row) for row in multiplicity),
         "genus": sum(v.genus for v in graph.vertices) + delta - gamma + 1,
     }
+
+
+# -- reference bridges: the search with a multiplicity table -----------------
+
+
+def reference_bridges(graph: DualGraph) -> tuple[int, ...]:
+    """The bridges of ``graph`` by the depth-first search ``bridges`` once
+    ran: a vertex skips its parent only when one edge joins them, and each
+    bridge is looked up by its ends in the edge tuple."""
+    adj = [[] for _ in range(graph.gamma)]
+    for u, v in graph.edges:
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    mult = graph.multiplicity
+    order = [-1] * graph.gamma
+    low = [0] * graph.gamma
+    order[0] = 0
+    found = 1
+    out = []
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        x, parent, rest = stack[-1]
+        for y in rest:
+            if y == parent and mult[x][y] == 1:
+                continue
+            if order[y] < 0:
+                order[y] = low[y] = found
+                found += 1
+                stack.append((y, x, iter(adj[y])))
+                break
+            low[x] = min(low[x], order[y])
+        else:
+            stack.pop()
+            if stack:
+                low[parent] = min(low[parent], low[x])
+                if low[x] > order[parent]:
+                    # a bridge is the one edge joining its ends
+                    out.append(graph.edges.index((min(x, parent), max(x, parent))))
+    return tuple(sorted(out))

@@ -25,6 +25,7 @@ from nodalpic import (
     subcurve_arithmetic_genus,
     vine_graph,
 )
+from nodalpic import graph as graph_module
 from nodalpic.oracle import spanning_trees_bruteforce
 
 from helpers import (
@@ -35,7 +36,9 @@ from helpers import (
     path3,
     permuted,
     random_connected_graph,
+    reference_bridges,
     reference_fields,
+    seeded_multigraphs,
     single_vertex,
     triangle,
 )
@@ -389,6 +392,17 @@ def test_bridges_match_per_edge_removal():
         assert bridges(g) == _reference_bridges(g)
         found += len(bridges(g))
     assert found > 0
+
+
+def test_bridge_core_matches_the_multiplicity_search():
+    # the core skips the edge id it arrived by; the search it replaced
+    # skipped its parent when one edge joined them
+    curves = seeded_multigraphs()
+    for g in curves:
+        assert graph_module._bridges(g.gamma, g.edges) == bridges(g) == reference_bridges(g)
+    assert {g.gamma for g in curves} == set(range(1, 8))
+    assert any(sum(g.loops) for g in curves)
+    assert any(bridges(g) and max(map(max, g.multiplicity)) > 1 for g in curves)
 
 
 def test_partial_normalization_pieces_match_reference():

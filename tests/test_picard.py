@@ -12,6 +12,7 @@ from nodalpic import (
     NodeSet,
     PicardType,
     Stratum,
+    Vertex,
     bridges,
     check_stability_parts,
     classify_type_g_minus_1,
@@ -37,6 +38,8 @@ from helpers import (
     bridged_curves,
     golden_curves,
     random_connected_graph,
+    reference_bridges,
+    seeded_multigraphs,
     single_vertex,
     triangle,
 )
@@ -178,6 +181,52 @@ def test_strata_carry_the_pieces_of_their_node_set():
             assert bare == s and hash(bare) == hash(s) and repr(bare) == repr(s)
 
 
+def test_strata_build_each_piece_with_rows_once(monkeypatch):
+    # a piece with a bridge is rejected on its key, before it is built
+    built = []
+
+    def counting(*args):
+        built.append(DualGraph(*args))
+        return built[-1]
+
+    monkeypatch.setattr(picard, "DualGraph", counting)
+    for g in bridged_curves() + golden_curves():
+        picard._strata.cache_clear()
+        built.clear()
+        carried = {id(p) for s in strata(g) for p in s.pieces}
+        assert len(built) == len(carried)
+        assert {id(p) for p in built} == carried
+
+
+def test_strata_decide_bridges_on_the_piece_keys_as_the_reference(monkeypatch):
+    met = set()
+
+    def recording(n, edges):
+        met.add((n, edges))
+        return graph_module._bridges(n, edges)
+
+    monkeypatch.setattr(picard, "_bridges", recording)
+    for g in bridged_curves() + golden_curves() + seeded_multigraphs():
+        picard._strata.cache_clear()
+        strata(g)
+    assert len(met) > 1000
+    vertices = [Vertex(f"v{i}", 0) for i in range(max(n for n, _ in met))]
+    for n, edges in met:
+        piece = DualGraph(vertices[:n], edges)
+        assert graph_module._bridges(n, edges) == reference_bridges(piece)
+    assert any(graph_module._bridges(n, edges) for n, edges in met)
+
+
+def test_one_piece_strata_share_their_piece_rows():
+    # below |S| = 9 the vine stays one piece, whose rows are the strata's
+    # multidegrees; only the S = all nodes stratum is assembled
+    picard._strata.cache_clear()
+    got = strata(vine_graph(1, 1, 9))
+    distinct = {s.multidegree.entries for s in got}
+    assert len({id(s.multidegree) for s in got}) == len(distinct) == 37
+    assert len(got) == 1794
+
+
 def test_strata_match_independent_componentwise_scan():
     # rebuild the strata for one node subset using the oracle's strict scan
     # on each component, reassembled by vertex name
@@ -242,6 +291,33 @@ def test_strata_counts_equal_the_closed_form(g, max_edges, total):
     got = Counter(s.nodes for s in strata(g, max_edges))
     assert dict(got) == expected
     assert sum(got.values()) == sum(expected.values()) == total
+
+
+def _complete_graph(n: int) -> DualGraph:
+    names = [f"k{i}" for i in range(n)]
+    return DualGraph.from_names([(x, 0) for x in names], list(combinations(names, 2)))
+
+
+def _cycle(n: int) -> DualGraph:
+    names = [f"c{i}" for i in range(n)]
+    return DualGraph.from_names([(x, 0) for x in names], list(zip(names, names[1:] + names[:1])))
+
+
+def test_component_count_is_the_product_over_the_blocks():
+    # the components are the strata at S = the bridges, of dimension g: one
+    # per choice of a stable row on each piece of the curve cut at its bridges
+    curves = bridged_curves() + [
+        vine_graph(1, 1, 12),
+        _two_vines_joined_by_a_bridge(),
+        _complete_graph(5),
+        _cycle(12),
+    ]
+    for g in curves:
+        comps = irreducible_components(g, max_edges=13)
+        blocks = partial_normalization(g, bridges(g))
+        assert len(comps) == math.prod(map(stable_count, blocks))
+        assert {s.dim for s in comps} == {g.genus}
+        assert {s.nodes for s in comps} == {NodeSet(bridges(g))}
 
 
 def test_irreducible_components_vine():
