@@ -16,6 +16,7 @@ from .graph import (
     essential_connectivity,
     essential_graph,
     is_tree_like,
+    laplacian,
     partial_normalization,
     subcurve_arithmetic_genus,
     vine_graph,
@@ -30,7 +31,6 @@ from .classgroup import (
     class_representatives,
     degree_class_group,
     equivalent,
-    laplacian,
     semistabilize,
     twister_lattice,
     twister_multidegree,

@@ -158,17 +158,18 @@ def naturality_necessary(graph: DualGraph, d: int) -> NaturalityVerdict:
 
 def degree1_abel_is_embedding(graph: DualGraph) -> Degree1Embedding:
     """False exactly when some smooth rational component meets the rest of the
-    curve only in separating nodes (such a component must be contracted)."""
-    bridge_set = set(bridges(graph))
-    offenders = []
-    for i, vertex in enumerate(graph.vertices):
-        if vertex.genus != 0 or graph.loops[i] != 0:
-            continue
-        incident = [
-            idx
-            for idx, (u, v) in enumerate(graph.edges)
-            if u != v and (u == i or v == i)
-        ]
-        if all(idx in bridge_set for idx in incident):
-            offenders.append(vertex.name)
-    return Degree1Embedding(not offenders, tuple(offenders))
+    curve only in separating nodes (such a component must be contracted).
+
+    One pass over the bridges counts each component's bridge ends; a
+    component is an offender when that count is its whole codegree.
+    """
+    ends = [0] * graph.gamma
+    for idx in bridges(graph):
+        for i in graph.edges[idx]:
+            ends[i] += 1
+    offenders = tuple(
+        v.name
+        for v, loops, codeg, bridged in zip(graph.vertices, graph.loops, graph.nonloop_degree, ends)
+        if v.genus == 0 and loops == 0 and bridged == codeg
+    )
+    return Degree1Embedding(not offenders, offenders)

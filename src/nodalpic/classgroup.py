@@ -1,34 +1,27 @@
 """Twister lattice, degree class group and chip-firing semistabilization.
 
 Twisting a line bundle by a component divisor sum(n_i C_i) changes its
-multidegree by -L @ n, where L is the loopless Laplacian of the dual graph.
-The lattice of all such changes has full rank inside the degree-zero
-sublattice, and the finite quotient (one copy per total degree) is the
-degree class group.  Its order equals the number of spanning trees.
+multidegree by -L @ n, where L is the loopless Laplacian of the dual graph,
+built by ``graph.laplacian`` alone.  Its columns span the twister lattice,
+which has full rank inside the degree-zero sublattice; the finite quotient
+(one copy per total degree) is the degree class group.  The Smith form of L
+without row and column 0 presents that group, and the determinant of the
+same minor, ``graph.complexity``, is its order: the number of spanning trees.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from typing import Sequence
 
 from .errors import TotalDegreeError
-from .graph import MEMO_SIZE, DualGraph
+from .graph import MEMO_SIZE, DualGraph, laplacian
 from .intlinalg import mat_vec, smith_normal_form
 from .multidegree import Multidegree
 from .stability import StabilityStatus, stability_status
-
-
-def laplacian(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
-    """Loopless Laplacian: degrees on the diagonal, minus multiplicities off it."""
-    n = graph.gamma
-    mult = graph.multiplicity
-    deg = graph.nonloop_degree
-    return tuple(
-        tuple(deg[i] if i == j else -mult[i][j] for j in range(n)) for i in range(n)
-    )
 
 
 def twister_multidegree(graph: DualGraph, firing: Sequence[int]) -> Multidegree:
@@ -48,13 +41,10 @@ class TwisterLattice:
 
 
 def twister_lattice(graph: DualGraph) -> TwisterLattice:
-    n = graph.gamma
-    basis = []
-    for j in range(1, n):
-        unit = [0] * n
-        unit[j] = 1
-        basis.append(twister_multidegree(graph, unit))
-    return TwisterLattice(tuple(basis), n - 1)
+    """The twists by C_1 .. C_{gamma-1}: the negated Laplacian columns 1 .. gamma-1,
+    read as rows, since the Laplacian is symmetric."""
+    basis = tuple(Multidegree(-x for x in row) for row in laplacian(graph)[1:])
+    return TwisterLattice(basis, graph.gamma - 1)
 
 
 @dataclass(frozen=True)
@@ -94,17 +84,11 @@ def degree_class_group(graph: DualGraph) -> DegreeClassGroup:
     through a memo of the last ``MEMO_SIZE`` curves: the ``classgroup``,
     ``neron`` and ``semistabilize`` reports of one curve build it once.
     """
-    n = graph.gamma
-    lap = laplacian(graph)
-    reduced = [[lap[i][j] for j in range(1, n)] for i in range(1, n)]
-    snf = smith_normal_form(reduced)
-    order = 1
-    for f in snf.diagonal:
-        order *= f
+    snf = smith_normal_form([row[1:] for row in laplacian(graph)[1:]])
     return DegreeClassGroup(
-        gamma=n,
+        gamma=graph.gamma,
         invariant_factors=tuple(f for f in snf.diagonal if f > 1),
-        order=order,
+        order=math.prod(snf.diagonal),
         _diagonal=snf.diagonal,
         _left=snf.left,
         _left_inv=snf.left_inv,

@@ -269,7 +269,7 @@ def build_components(graph: DualGraph, max_edges: int, max_vertices: int) -> dic
             "type": classification.kind.value,
             "tree_like": classification.tree_like,
             "rule_validated": classification.component_rule_validated,
-            "strata": _stratum_records(graph, comps, comps[0].dim),
+            "strata": _stratum_records(graph, comps, graph.genus),
         },
     )
 

@@ -237,25 +237,25 @@ def component_codegree(graph: DualGraph, vertex: str | int) -> int:
     return graph.nonloop_degree[i]
 
 
+def laplacian(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
+    """Loopless Laplacian: degrees on the diagonal, minus multiplicities off it;
+    the one builder of this matrix, for ``complexity`` and ``classgroup``."""
+    rows = [[-m for m in row] for row in graph.multiplicity]
+    for i, deg in enumerate(graph.nonloop_degree):
+        rows[i][i] = deg
+    return tuple(map(tuple, rows))
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def complexity(graph: DualGraph) -> int:
     """Number of spanning trees (loops ignored, parallel edges distinct).
 
-    Computed as the determinant of a reduced Laplacian over exact integers,
-    so the result never overflows.  Every report's curve block reads it, so
-    equal graphs share it through a memo of the last ``MEMO_SIZE`` curves:
-    the reports of one curve take one determinant.
+    The Bareiss determinant of ``laplacian`` without row and column 0, in
+    exact integers; one vertex leaves an empty minor, of determinant 1.
+    Every report's curve block reads it, so equal graphs share it through a
+    memo of the last ``MEMO_SIZE`` curves: one determinant per curve.
     """
-    n = graph.gamma
-    if n == 1:
-        return 1
-    mult = graph.multiplicity
-    deg = graph.nonloop_degree
-    reduced = [
-        [deg[i] if i == j else -mult[i][j] for j in range(1, n)]
-        for i in range(1, n)
-    ]
-    return bareiss_determinant(reduced)
+    return bareiss_determinant([row[1:] for row in laplacian(graph)[1:]])
 
 
 def is_tree_like(graph: DualGraph) -> bool:

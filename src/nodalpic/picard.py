@@ -207,20 +207,22 @@ def irreducible_components(
     max_edges: int = DEFAULT_MAX_STRATA_EDGES,
     max_vertices: int = DEFAULT_MAX_SUBCURVE_VERTICES,
 ) -> list[Stratum]:
-    """Maximal strata: the strata of maximal dimension.
+    """Maximal strata: the strata of dimension g, which are the strata at
+    S = B, the set of bridges of the curve.
 
     A stratum's dimension g - |S| + c(S) - 1 is the genus of the partial
-    normalization at S, the sum of its pieces' genera.  Whenever the curve
-    itself carries stable multidegrees, its S = {} strata are exactly these:
-    they have dimension g, and every other stratum has less.  Such a curve
-    has no bridge (see ``_strata``), so for S != {} each of the c(S) pieces
-    holds at least two of the 2|S| branches of the nodes in S (none would
-    leave the curve disconnected, one would make its node a bridge); hence
-    c(S) <= |S| and the dimension is at most g - 1.
+    normalization at S, the sum of its pieces' genera.  Normalize the nodes
+    of S one at a time: a node that is a bridge of the current normalization
+    keeps the genus, and any other node lowers it by 1.  Every stratum's S
+    holds B (see ``_strata``).  Normalizing B first keeps the genus g and
+    leaves the 2-edge-connected blocks and single vertices of the curve.
+    Each of these carries a stable multidegree: a vertex its total degree,
+    and a block a + indeg_O - 1, with a_v = g_v + loops_v, for a strongly
+    connected orientation O of its nodes (Robbins 1939).  So S = B is a
+    stratum of dimension g.  When S holds more than B, the next node lies
+    inside a block, which it does not separate, so the dimension is below g.
     """
-    all_strata = strata(graph, max_edges, max_vertices)
-    best = max(s.dim for s in all_strata)
-    return [s for s in all_strata if s.dim == best]
+    return [s for s in strata(graph, max_edges, max_vertices) if s.dim == graph.genus]
 
 
 def component_rule_validated(graph: DualGraph) -> bool:

@@ -247,3 +247,25 @@ def reference_bridges(graph: DualGraph) -> tuple[int, ...]:
                     # a bridge is the one edge joining its ends
                     out.append(graph.edges.index((min(x, parent), max(x, parent))))
     return tuple(sorted(out))
+
+
+# -- reference degree-1 offenders: one scan of every edge per vertex ----------
+
+
+def reference_degree1_offenders(graph: DualGraph) -> tuple[str, ...]:
+    """The smooth rational components all of whose non-loop nodes are
+    bridges, as ``degree1_abel_is_embedding`` once found them: for each
+    vertex, a scan of every edge for the ones incident to it."""
+    bridge_set = set(bridges(graph))
+    offenders = []
+    for i, vertex in enumerate(graph.vertices):
+        if vertex.genus != 0 or graph.loops[i] != 0:
+            continue
+        incident = [
+            idx
+            for idx, (u, v) in enumerate(graph.edges)
+            if u != v and (u == i or v == i)
+        ]
+        if all(idx in bridge_set for idx in incident):
+            offenders.append(vertex.name)
+    return tuple(offenders)

@@ -7,6 +7,7 @@ from nodalpic import (
     DualGraph,
     Multidegree,
     Naturality,
+    bridges,
     correction_profile_vine,
     degree1_abel_is_embedding,
     essential_connectivity,
@@ -16,7 +17,12 @@ from nodalpic import (
 )
 from nodalpic.stability import check_stability
 
-from helpers import random_connected_graph, single_vertex
+from helpers import (
+    bridged_multigraph,
+    random_connected_graph,
+    reference_degree1_offenders,
+    single_vertex,
+)
 
 
 def test_natural_023_not_natural():
@@ -174,3 +180,20 @@ def test_degree1_embedding_mixed_graph():
         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "p")],
     )
     assert degree1_abel_is_embedding(h).is_embedding
+
+
+def test_degree1_embedding_matches_the_per_vertex_edge_scan():
+    # one pass over the bridges against the scan of every edge per vertex
+    rng = random.Random(131)
+    curves = [
+        random_connected_graph(rng, max_vertices=6, max_edges=9, max_genus=1)
+        for _ in range(1500)
+    ] + [bridged_multigraph(rng) for _ in range(600)]
+    assert sum(map(bool, map(bridges, curves))) > 1000
+    assert sum(sum(g.loops) > 0 for g in curves) > 1000
+    with_offenders = 0
+    for g in curves:
+        expected = reference_degree1_offenders(g)
+        assert degree1_abel_is_embedding(g) == (not expected, expected)
+        with_offenders += bool(expected)
+    assert with_offenders > 500

@@ -25,7 +25,8 @@ from nodalpic import (
     twister_multidegree,
     vine_graph,
 )
-from nodalpic import classgroup
+import nodalpic
+from nodalpic import classgroup, graph
 from nodalpic.classgroup import representative
 from nodalpic.intlinalg import mat_mul, mat_vec, smith_normal_form
 from nodalpic.oracle import SearchOutcome, equivalent_bruteforce
@@ -87,6 +88,23 @@ def test_twister_lattice_basis():
     dcg = degree_class_group(g)
     zero = Multidegree((0, 0, 0))
     assert all(equivalent(dcg, b, zero) for b in lat.basis)
+
+
+def test_twister_lattice_basis_is_the_twists_by_single_components():
+    # the basis read off the Laplacian's columns, against one twist per unit vector
+    rng = random.Random(2024)
+    curves = [random_connected_graph(rng, max_vertices=6, max_edges=10) for _ in range(60)]
+    assert sum(sum(g.loops) > 0 for g in curves) > 20
+    for g in curves:
+        n = g.gamma
+        units = [[int(i == j) for i in range(n)] for j in range(1, n)]
+        lat = twister_lattice(g)
+        assert lat.basis == tuple(twister_multidegree(g, e) for e in units)
+        assert lat.rank == n - 1
+
+
+def test_one_laplacian_for_the_graph_and_the_class_group():
+    assert nodalpic.laplacian is graph.laplacian is classgroup.laplacian
 
 
 def test_degree_class_group_vine6():

@@ -320,6 +320,16 @@ def test_component_count_is_the_product_over_the_blocks():
         assert {s.nodes for s in comps} == {NodeSet(bridges(g))}
 
 
+def test_components_are_the_strata_at_the_bridge_set():
+    # the dimension-g strata are those at S = the bridges, the first node set listed
+    curves = bridged_curves() + golden_curves() + seeded_multigraphs(300)
+    for g in curves:
+        all_strata = strata(g)
+        fixed = NodeSet(bridges(g))
+        assert all_strata[0].nodes == fixed
+        assert irreducible_components(g) == [s for s in all_strata if s.nodes == fixed]
+
+
 def test_irreducible_components_vine():
     assert len(irreducible_components(vine_graph(1, 1, 4))) == 3
     comps = irreducible_components(vine_graph(2, 1, 1))
